@@ -549,8 +549,7 @@ def _cmd_replay(args) -> int:
               file=sys.stderr)
         return 1
     source = load_recorded_logs(spec, record_dir=record_dir, seeds=seeds)
-    stats: List = []
-    reports, _ = source.run_detector(stats_out=stats)
+    reports, stats = source.run_detector()
     print("== OWL replay: %s (%d logs from %s) ==" % (
         spec.name, len(source.logs), record_dir))
     for stat in stats:

@@ -20,7 +20,7 @@ acquire, and the annotated pair itself is not reported.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.detectors.annotations import AnnotationSet
 from repro.detectors.report import AccessRecord, RaceReport, ReportSet
@@ -33,7 +33,8 @@ from repro.runtime.events import (
     TraceObserver,
 )
 from repro.runtime.interpreter import VM, ExecutionResult
-from repro.runtime.scheduler import RandomScheduler, Scheduler
+from repro.runtime.metrics import RunStats
+from repro.runtime.scheduler import PCTScheduler, RandomScheduler, Scheduler
 
 
 class _ByteShadow:
@@ -236,97 +237,207 @@ class TSanDetector(TraceObserver):
                     report.subsequent_reads.append(record)
 
 
-def run_tsan_seed(
+def front_end(kind: str):
+    """The detector class and default scheduler family of a front end.
+
+    TSan (applications) and SKI (kernels) share one happens-before engine;
+    they differ only in the report label and in exploring schedules
+    uniformly at random or with PCT.
+    """
+    if kind == "ski":
+        from repro.detectors.ski import SkiDetector
+
+        return SkiDetector, "pct"
+    return TSanDetector, "random"
+
+
+def make_scheduler(family: str, seed: int, depth: int = 3) -> Scheduler:
+    """A fresh ``"random"`` or ``"pct"`` (at ``depth``) scheduler."""
+    if family == "pct":
+        return PCTScheduler(seed=seed, depth=depth)
+    return RandomScheduler(seed)
+
+
+class SeedRun:
+    """What one detector execution produced (see :func:`run_seed`).
+
+    ``coverage``, ``log`` and ``profile`` are None unless requested.
+    """
+
+    __slots__ = ("seed", "reports", "result", "accesses", "wall_seconds",
+                 "coverage", "log", "profile")
+
+    def __init__(self, seed: int, reports: ReportSet, result: ExecutionResult,
+                 accesses: int, wall_seconds: float):
+        self.seed = seed
+        self.reports = reports
+        self.result = result
+        self.accesses = accesses
+        self.wall_seconds = wall_seconds
+        self.coverage = None
+        self.log = None
+        self.profile = None
+
+    def stats(self) -> RunStats:
+        return RunStats(
+            seed=self.seed, reason=self.result.reason,
+            steps=self.result.steps, accesses=self.accesses,
+            reports=len(self.reports), wall_seconds=self.wall_seconds,
+        )
+
+
+def run_seed(
     module: Module,
     seed: int,
+    kind: str = "tsan",
     entry: str = "main",
     inputs: Optional[Dict] = None,
     annotations: Optional[AnnotationSet] = None,
     max_steps: int = 200_000,
-    scheduler_factory=None,
+    scheduler: Optional[str] = None,
+    depth: int = 3,
     entry_args: Sequence[int] = (),
     tracer=None,
-    coverage_out: Optional[List] = None,
-    record_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
+    coverage: bool = False,
+    record: bool = False,
+    profile: Optional[int] = None,
     fuse=False,
-) -> Tuple[ReportSet, ExecutionResult, TSanDetector]:
+) -> SeedRun:
     """One program execution under one schedule, into a fresh report set.
 
-    The unit of work for both the serial driver and the parallel batch
-    engine: per-seed report sets merged in seed order are bit-identical to
-    one report set shared across all seeds (dedup keeps the first static
-    occurrence and appends later watch data either way).  ``tracer``
+    The unit of work of every detector sweep — serial, pooled, cached,
+    explored: per-seed report sets merged in seed order are bit-identical
+    to one report set shared across all seeds (dedup keeps the first
+    static occurrence and appends later watch data either way).  ``kind``
+    picks the front end (:func:`front_end`); ``scheduler`` overrides its
+    default family (``"random"`` or ``"pct"`` at ``depth``).  ``tracer``
     (a :class:`repro.runtime.spans.SpanTracer`) records the execution as a
-    ``detect_seed`` span.  ``coverage_out``, when given a list, receives
-    one :class:`repro.runtime.coverage.SeedCoverage` for the execution
-    (racy pair set plus context-switch signature); tracking never perturbs
-    the schedule itself.  ``record_out``, when given a list, receives one
-    :class:`repro.runtime.record.ScheduleLog` of the execution — the
-    recorder delegates every decision unchanged too, so a recorded seed
-    finds exactly the races an unrecorded one would.  ``profile_out``,
-    when given a list, receives one
-    :class:`repro.runtime.profiler.SeedProfile` sampled every
-    ``profile_interval`` scheduler decisions (same pure-delegation
-    wrapper; deterministic given seed + interval).  ``fuse`` (a bool, or
-    a shared :class:`repro.runtime.fuse.FuseEngine` to amortize compiles
-    across a sweep) turns on superinstruction fusion — detectors observe
-    bit-identical events either way, so the reports cannot change.
+    ``detect_seed`` span.
+
+    ``coverage`` attaches a :class:`repro.runtime.coverage.SeedCoverage`
+    (racy pair set plus context-switch signature), ``record`` a
+    :class:`repro.runtime.record.ScheduleLog`, and ``profile`` a
+    :class:`repro.runtime.profiler.SeedProfile` sampled every ``profile``
+    scheduler decisions.  Each is a pure-delegation scheduler wrapper,
+    installed only when asked for, so the schedule and the reports never
+    change.  ``fuse`` (a bool, or a shared
+    :class:`repro.runtime.fuse.FuseEngine` to amortize compiles across a
+    sweep) turns on superinstruction fusion; detectors observe
+    bit-identical events either way.
     """
     from repro.runtime.spans import maybe_span
 
-    scheduler: Scheduler = (
-        scheduler_factory(seed) if scheduler_factory is not None
-        else RandomScheduler(seed)
-    )
-    recorder = None
-    if record_out is not None:
+    started = time.perf_counter()
+    detector_cls, default_family = front_end(kind)
+    chosen = make_scheduler(scheduler or default_family, seed, depth)
+    recorder = tracker = profiler = None
+    if record:
         from repro.runtime.record import ScheduleRecorder
 
-        recorder = ScheduleRecorder(scheduler)
-        scheduler = recorder
-    tracker = None
-    if coverage_out is not None:
+        chosen = recorder = ScheduleRecorder(chosen)
+    if coverage:
         from repro.runtime.coverage import SwitchTracker
 
-        tracker = SwitchTracker(scheduler)
-        scheduler = tracker
-    profiler = None
-    if profile_out is not None:
-        from repro.runtime.profiler import (
-            DEFAULT_SAMPLE_INTERVAL, SamplingProfiler)
+        chosen = tracker = SwitchTracker(chosen)
+    if profile:
+        from repro.runtime.profiler import SamplingProfiler
 
-        profiler = SamplingProfiler(
-            scheduler, interval=profile_interval or DEFAULT_SAMPLE_INTERVAL,
-            observed=True)
-        scheduler = profiler
-    vm = VM(module, scheduler=scheduler, inputs=inputs, max_steps=max_steps,
+        chosen = profiler = SamplingProfiler(chosen, interval=profile,
+                                             observed=True)
+    vm = VM(module, scheduler=chosen, inputs=inputs, max_steps=max_steps,
             seed=seed, fuse=fuse)
-    detector = TSanDetector(annotations=annotations, reports=ReportSet())
+    detector = detector_cls(annotations=annotations, reports=ReportSet())
     vm.add_observer(detector)
     if recorder is not None:
         vm.add_observer(recorder)
     with maybe_span(tracer, "detect_seed", seed=seed,
-                    detector="tsan") as span:
+                    detector=detector_cls.name) as span:
         vm.start(entry, entry_args)
         result = vm.run()
         if span is not None:
             span.attrs.update(steps=result.steps, reason=result.reason,
                               reports=len(detector.reports))
-    if coverage_out is not None:
+    run = SeedRun(seed, detector.reports, result, detector.access_count,
+                  time.perf_counter() - started)
+    if tracker is not None:
         from repro.runtime.coverage import SeedCoverage
 
-        coverage_out.append(
-            SeedCoverage.from_run(seed, detector.reports, tracker))
-    if record_out is not None:
-        record_out.append(recorder.to_log(
+        run.coverage = SeedCoverage.from_run(seed, detector.reports, tracker)
+    if recorder is not None:
+        run.log = recorder.to_log(
             module, seed, entry=entry, entry_args=entry_args,
             max_steps=max_steps, result=result,
-        ))
+        )
     if profiler is not None:
-        profile_out.append(profiler.data)
-    return detector.reports, result, detector
+        run.profile = profiler.data
+    return run
+
+
+def profile_stride(profile_out: Optional[List],
+                   profile_interval: Optional[int]) -> Optional[int]:
+    """The per-seed sampling stride of a sweep (None: not profiling)."""
+    if profile_out is None:
+        return None
+    from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
+
+    return int(profile_interval or DEFAULT_SAMPLE_INTERVAL)
+
+
+def run_seeds(
+    kind: str,
+    module: Module,
+    seeds: Sequence[int],
+    entry: str = "main",
+    inputs: Optional[Dict] = None,
+    annotations: Optional[AnnotationSet] = None,
+    max_steps: int = 200_000,
+    scheduler: Optional[str] = None,
+    depth: int = 3,
+    entry_args: Sequence[int] = (),
+    tracer=None,
+    coverage_out: Optional[List] = None,
+    profile_out: Optional[List] = None,
+    profile_interval: Optional[int] = None,
+    feed=None,
+    fuse=False,
+) -> Tuple[ReportSet, List[RunStats]]:
+    """The serial sweep: :func:`run_seed` per seed, merged in seed order.
+
+    Returns the merged reports and one
+    :class:`repro.runtime.metrics.RunStats` per seed — the same contract
+    as the pooled :func:`repro.owl.batch.run_seeds_parallel`.
+    ``coverage_out``/``profile_out`` receive one coverage/profile per seed
+    in seed order; ``feed`` (an :class:`repro.owl.stream.EventFeed`) one
+    ``seed_done`` event per seed.  A ``fuse`` request shares one
+    :class:`repro.runtime.fuse.FuseEngine` across the sweep: every seed
+    runs the same module, so compiled superinstructions amortize.
+    """
+    if fuse:
+        from repro.runtime.fuse import FuseEngine
+
+        fuse = fuse if isinstance(fuse, FuseEngine) else FuseEngine()
+    profile = profile_stride(profile_out, profile_interval)
+    reports = ReportSet()
+    stats: List[RunStats] = []
+    for seed in seeds:
+        run = run_seed(
+            module, seed, kind=kind, entry=entry, inputs=inputs,
+            annotations=annotations, max_steps=max_steps,
+            scheduler=scheduler, depth=depth, entry_args=entry_args,
+            tracer=tracer, coverage=coverage_out is not None,
+            profile=profile, fuse=fuse,
+        )
+        reports.merge(run.reports)
+        stats.append(run.stats())
+        if coverage_out is not None:
+            coverage_out.append(run.coverage)
+        if profile_out is not None:
+            profile_out.append(run.profile)
+        if feed is not None:
+            feed.seed_done(stage="detect", seed=seed, detector=kind,
+                           steps=run.result.steps, reports=len(run.reports),
+                           cached=False)
+    return reports, stats
 
 
 def run_tsan(
@@ -336,98 +447,13 @@ def run_tsan(
     seeds: Sequence[int] = range(10),
     annotations: Optional[AnnotationSet] = None,
     max_steps: int = 200_000,
-    scheduler_factory=None,
-    entry_args: Sequence[int] = (),
-    jobs: int = 1,
-    module_source: Optional[Callable[[], Module]] = None,
-    stats_out: Optional[List] = None,
-    tracer=None,
-    cache=None,
-    policy=None,
-    explore=None,
-    coverage_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    fuse: bool = False,
-) -> Tuple[ReportSet, List[ExecutionResult]]:
-    """Run the detector over several schedules and merge the reports.
+) -> Tuple[ReportSet, List[RunStats]]:
+    """Run the detector over several random schedules and merge the reports.
 
     Each seed is one program execution under a random schedule — the
     equivalent of repeatedly running a TSan-instrumented binary on the same
-    testing workload.
-
-    With ``jobs > 1`` and a picklable zero-argument ``module_source`` (a
-    module-level factory function), seeds fan out across a process pool via
-    :mod:`repro.owl.batch`; the merge stays in seed order, so the result is
-    identical to the serial run.  ``stats_out``, when given a list, receives
-    one :class:`repro.runtime.metrics.RunStats` per seed.  A ``cache``
-    (:class:`repro.owl.cache.ResultCache`) also routes through the batch
-    path — already-computed seeds are answered from disk, even at
-    ``jobs=1`` — and ``policy`` (:class:`repro.owl.batch.BatchPolicy`)
-    bounds each pooled item's wait/retry budget.
-
-    An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
-    replaces the blind sweep over ``seeds`` with coverage-guided adaptive
-    budgeting: seeds run in waves, exploration stops early once coverage
-    saturates, and the schedule family escalates when a wave goes dry (see
-    :mod:`repro.owl.explore`).  ``coverage_out``, when given a list,
-    receives one :class:`repro.runtime.coverage.SeedCoverage` per seed in
-    seed order (serial path only; the batch/explore paths collect coverage
-    themselves).
+    testing workload.  Returns the merged reports and per-seed
+    :class:`repro.runtime.metrics.RunStats`.
     """
-    if explore is not None:
-        from repro.owl.explore import explore_seeds
-
-        return explore_seeds(
-            "tsan", module, module_source=module_source, entry=entry,
-            inputs=inputs, annotations=annotations, max_steps=max_steps,
-            entry_args=entry_args, jobs=jobs, stats_out=stats_out,
-            tracer=tracer, cache=cache, policy=policy, explore=explore,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=bool(fuse),
-        )
-    if ((jobs and jobs > 1) or cache is not None) \
-            and module_source is not None:
-        from repro.owl.batch import run_seeds_parallel
-
-        return run_seeds_parallel(
-            "tsan", module, module_source, entry=entry, inputs=inputs,
-            seeds=seeds, annotations=annotations, max_steps=max_steps,
-            entry_args=entry_args, jobs=jobs, stats_out=stats_out,
-            tracer=tracer, cache=cache, policy=policy,
-            coverage_out=coverage_out, profile_out=profile_out,
-            profile_interval=profile_interval, feed=feed, fuse=bool(fuse),
-        )
-    if fuse:
-        # One engine for the whole sweep: every seed runs the same module,
-        # so compiled superinstructions amortize across executions.
-        from repro.runtime.fuse import FuseEngine
-
-        fuse = fuse if isinstance(fuse, FuseEngine) else FuseEngine()
-    reports = ReportSet()
-    results: List[ExecutionResult] = []
-    for seed in seeds:
-        started = time.perf_counter()
-        seed_reports, result, detector = run_tsan_seed(
-            module, seed, entry=entry, inputs=inputs, annotations=annotations,
-            max_steps=max_steps, scheduler_factory=scheduler_factory,
-            entry_args=entry_args, tracer=tracer, coverage_out=coverage_out,
-            profile_out=profile_out, profile_interval=profile_interval,
-            fuse=fuse,
-        )
-        reports.merge(seed_reports)
-        results.append(result)
-        if stats_out is not None:
-            from repro.runtime.metrics import RunStats
-
-            stats_out.append(RunStats(
-                seed=seed, reason=result.reason, steps=result.steps,
-                accesses=detector.access_count, reports=len(seed_reports),
-                wall_seconds=time.perf_counter() - started,
-            ))
-        if feed is not None:
-            feed.seed_done(stage="detect", seed=seed, detector="tsan",
-                           steps=result.steps, reports=len(seed_reports),
-                           cached=False)
-    return reports, results
+    return run_seeds("tsan", module, seeds, entry=entry, inputs=inputs,
+                     annotations=annotations, max_steps=max_steps)

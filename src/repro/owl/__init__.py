@@ -45,7 +45,6 @@ from repro.owl.batch import (
     can_parallelize,
     make_executor,
     run_detector_batch,
-    run_detectors_batch,
     run_seeds_parallel,
     verify_races_batch,
     verify_vulns_batch,
@@ -79,7 +78,6 @@ __all__ = [
     "can_parallelize",
     "make_executor",
     "run_detector_batch",
-    "run_detectors_batch",
     "run_seeds_parallel",
     "verify_races_batch",
     "verify_vulns_batch",

@@ -73,6 +73,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
 from repro.detectors.report import AccessRecord, RaceReport, ReportSet
+from repro.detectors.tsan import profile_stride, run_seed
 from repro.ir.module import Module
 from repro.owl.race_verifier import (
     DynamicRaceVerifier,
@@ -447,7 +448,7 @@ def run_cached_tasks(
 
 
 # ---------------------------------------------------------------------------
-# stage 1/2: detector fan-out across seeds (and programs)
+# stage 1/2: detector fan-out across seeds
 
 
 def _detect_worker(payload: Dict) -> Dict:
@@ -456,61 +457,33 @@ def _detect_worker(payload: Dict) -> Dict:
     Every run also reports its interleaving coverage
     (:class:`repro.runtime.coverage.SeedCoverage` payload) — the signal
     the exploration driver budgets on; collecting it never perturbs the
-    schedule.  ``payload["scheduler"]`` optionally overrides the TSan
-    schedule family (``"pct"`` swaps the uniform random scheduler for a
-    PCT one at ``payload["depth"]`` — the explore driver's escalation).
+    schedule.  ``payload["scheduler"]`` optionally overrides the front
+    end's schedule family at ``payload["depth"]`` (the explore driver's
+    escalation).
     """
-    from repro.detectors.ski import run_ski_seed
-    from repro.detectors.tsan import run_tsan_seed
-
     module = _resolve_module(payload["source"])
-    annotations = annotations_from_payload(module, payload["annotations"])
     tracer = SpanTracer()
-    coverage: List = []
-    logs: Optional[List] = [] if payload.get("record") else None
-    profiles: Optional[List] = [] if payload.get("profile") else None
-    profile_interval = payload.get("profile")
-    started = time.perf_counter()
-    fuse = bool(payload.get("fuse"))
-    if payload["kind"] == "ski":
-        reports, result, detector = run_ski_seed(
-            module, payload["seed"], entry=payload["entry"],
-            inputs=payload["inputs"], annotations=annotations,
-            max_steps=payload["max_steps"], depth=payload["depth"],
-            tracer=tracer, coverage_out=coverage, record_out=logs,
-            profile_out=profiles, profile_interval=profile_interval,
-            fuse=fuse,
-        )
-    else:
-        scheduler_factory = None
-        if payload.get("scheduler") == "pct":
-            from repro.runtime.scheduler import PCTScheduler
-
-            depth = payload["depth"]
-            scheduler_factory = (
-                lambda seed: PCTScheduler(seed=seed, depth=depth))
-        reports, result, detector = run_tsan_seed(
-            module, payload["seed"], entry=payload["entry"],
-            inputs=payload["inputs"], annotations=annotations,
-            max_steps=payload["max_steps"], entry_args=payload["entry_args"],
-            scheduler_factory=scheduler_factory, tracer=tracer,
-            coverage_out=coverage, record_out=logs,
-            profile_out=profiles, profile_interval=profile_interval,
-            fuse=fuse,
-        )
+    run = run_seed(
+        module, payload["seed"], kind=payload["kind"],
+        entry=payload["entry"], inputs=payload["inputs"],
+        annotations=annotations_from_payload(module, payload["annotations"]),
+        max_steps=payload["max_steps"], scheduler=payload["scheduler"],
+        depth=payload["depth"], entry_args=payload["entry_args"],
+        tracer=tracer, coverage=True, record=bool(payload.get("record")),
+        profile=payload.get("profile"), fuse=bool(payload.get("fuse")),
+    )
     output = {
-        "seed": payload["seed"],
-        "reports": reports_to_payloads(reports),
-        "stats": (payload["seed"], result.reason, result.steps,
-                  detector.access_count, len(reports),
-                  time.perf_counter() - started),
-        "coverage": coverage[0].to_payload(),
+        "seed": run.seed,
+        "reports": reports_to_payloads(run.reports),
+        "stats": (run.seed, run.result.reason, run.result.steps,
+                  run.accesses, len(run.reports), run.wall_seconds),
+        "coverage": run.coverage.to_payload(),
         "spans": tracer.export_payload(),
     }
-    if logs:
-        output["log"] = logs[0].to_payload()
-    if profiles:
-        output["profile"] = profiles[0].to_payload()
+    if run.log is not None:
+        output["log"] = run.log.to_payload()
+    if run.profile is not None:
+        output["profile"] = run.profile.to_payload()
     return output
 
 
@@ -557,18 +530,16 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
 _NON_KEY_FIELDS = ("source", "record")
 
 
-def _detect_item_key(cache, module: Module, payload: Dict) -> str:
-    """Cache key of one detector seed: everything but the module source."""
+def _item_key(cache, module: Module, payload: Dict,
+              stage: str = "detect") -> str:
+    """Cache key of one seed's ``detect`` entry or ``record`` log.
+
+    Both stages key the same parts — everything but the module source and
+    the record flag — so a recorded seed's detect entry is the plain one.
+    """
     parts = {key: value for key, value in payload.items()
              if key not in _NON_KEY_FIELDS}
-    return cache.key("detect", module=module, **parts)
-
-
-def _record_item_key(cache, module: Module, payload: Dict) -> str:
-    """Cache key of one seed's schedule log (same parts, own stage)."""
-    parts = {key: value for key, value in payload.items()
-             if key not in _NON_KEY_FIELDS}
-    return cache.key("record", module=module, **parts)
+    return cache.key(stage, module=module, **parts)
 
 
 def run_seeds_parallel(
@@ -583,14 +554,12 @@ def run_seeds_parallel(
     entry_args: Sequence[int] = (),
     depth: int = 3,
     jobs: int = 2,
-    stats_out: Optional[List] = None,
     executor: Optional[ProcessPoolExecutor] = None,
     tracer: Optional[SpanTracer] = None,
     cache=None,
     policy: Optional[BatchPolicy] = None,
     scheduler: Optional[str] = None,
     coverage_out: Optional[List] = None,
-    record: bool = False,
     logs_out: Optional[List] = None,
     profile_out: Optional[List] = None,
     profile_interval: Optional[int] = None,
@@ -602,30 +571,31 @@ def run_seeds_parallel(
     ``module_source`` is either a registry spec name (str) or a picklable
     zero-argument module factory; ``module`` is the parent's copy, against
     which the merged reports are rehydrated.  The merge happens in seed
-    order regardless of completion order, so the returned
-    :class:`ReportSet` is identical to the serial run's — and so is the
-    span tree adopted into ``tracer``.
+    order regardless of completion order, so the returned reports and
+    per-seed :class:`RunStats` are identical to the serial sweep's
+    (:func:`repro.detectors.tsan.run_seeds`) — and so is the span tree
+    adopted into ``tracer``.
 
     With a ``cache`` (:class:`repro.owl.cache.ResultCache`), seeds whose
     results are already on disk are not re-executed — including at
     ``jobs=1``, where misses run in-process; ``policy`` adds per-item
     timeout/retry fault tolerance to the pooled path.
 
-    ``scheduler`` overrides the TSan schedule family per seed (``"pct"``;
-    part of every cache key, so escalated re-runs of a seed never collide
-    with its base-family entry).  ``coverage_out``, when given a list,
-    receives one :class:`repro.runtime.coverage.SeedCoverage` per seed
-    **in seed order** — the deterministic merge input the exploration
-    driver's budgeting (and its jobs=1 vs jobs=2 parity) relies on.
+    ``scheduler`` overrides the front end's schedule family per seed (part
+    of every cache key, so escalated re-runs of a seed never collide with
+    its base-family entry).  ``coverage_out``, when given a list, receives
+    one :class:`repro.runtime.coverage.SeedCoverage` per seed **in seed
+    order** — the deterministic merge input the exploration driver's
+    budgeting (and its jobs=1 vs jobs=2 parity) relies on.
 
-    ``record=True`` additionally records every execution as a
-    :class:`repro.runtime.record.ScheduleLog` (delivered in seed order via
-    ``logs_out``).  Logs land in the cache under their own ``record``
-    stage — far smaller entries than the detect payloads — keyed by the
-    same parts as the detect entry, which itself stays byte-identical to a
-    plain run's.  A seed is only answered from the cache when *both*
-    stages hit; a seed whose log is missing re-executes (re-warming both),
-    so record mode always returns a complete log set.
+    ``logs_out``, when given a list, turns on recording: it receives one
+    :class:`repro.runtime.record.ScheduleLog` per seed in seed order.
+    Logs land in the cache under their own ``record`` stage — far smaller
+    entries than the detect payloads — keyed by the same parts as the
+    detect entry, which itself stays byte-identical to a plain run's.  A
+    seed is only answered from the cache when *both* stages hit; a seed
+    whose log is missing re-executes (re-warming both), so recording
+    always returns a complete log set.
 
     ``profile_out``, when given a list, receives one
     :class:`repro.runtime.profiler.SeedProfile` per seed in seed order
@@ -636,12 +606,9 @@ def run_seeds_parallel(
     per seed at merge time — in seed order, with the cache disposition.
     """
     seeds = list(seeds)
+    record = logs_out is not None
     annotations_payload = annotations_to_payload(annotations)
-    profile = None
-    if profile_out is not None:
-        from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
-
-        profile = int(profile_interval or DEFAULT_SAMPLE_INTERVAL)
+    profile = profile_stride(profile_out, profile_interval)
     payloads = [
         _detect_payload(kind, module_source, seed, entry, inputs,
                         annotations_payload, max_steps, depth, entry_args,
@@ -650,11 +617,11 @@ def run_seeds_parallel(
         for seed in seeds
     ]
     keys = (
-        [_detect_item_key(cache, module, payload) for payload in payloads]
+        [_item_key(cache, module, payload) for payload in payloads]
         if cache is not None else None
     )
     if record and cache is not None:
-        record_keys = [_record_item_key(cache, module, payload)
+        record_keys = [_item_key(cache, module, payload, stage="record")
                        for payload in payloads]
         cached_logs = [cache.get("record", key) for key in record_keys]
         hit_indices = [i for i, log in enumerate(cached_logs)
@@ -719,8 +686,6 @@ def run_seeds_parallel(
                     pass
             else:
                 tracer.adopt(output["spans"])
-    if stats_out is not None:
-        stats_out.extend(stats)
     return merged, stats
 
 
@@ -729,7 +694,6 @@ def run_detector_batch(
     annotations: Optional[AnnotationSet] = None,
     jobs: int = 1,
     executor: Optional[ProcessPoolExecutor] = None,
-    stats_out: Optional[List] = None,
     tracer: Optional[SpanTracer] = None,
     cache=None,
     policy: Optional[BatchPolicy] = None,
@@ -738,85 +702,21 @@ def run_detector_batch(
     feed=None,
     fuse: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
-    """The spec's front-end detector over its seeds, parallel when possible.
+    """The spec's front-end detector over its seeds, via the worker path.
 
-    Caching, like parallelism, requires the spec to be resolvable by name
-    through the registry; for anything else ``cache`` is ignored and the
-    serial path runs as before.
+    Workers rebuild the module by spec name, so the spec must be
+    resolvable through the registry (:func:`can_parallelize`);
+    :func:`repro.owl.integration.run_detector` routes anything else to the
+    serial sweep.
     """
-    if not can_parallelize(spec):
-        cache = None  # keys need the registry-rebuilt module
-    if ((jobs <= 1 and executor is None) and cache is None) \
-            or not can_parallelize(spec):
-        from repro.owl.integration import run_detector
-
-        stats: List[RunStats] = []
-        reports, _ = run_detector(spec, annotations=annotations,
-                                  stats_out=stats, tracer=tracer,
-                                  profile_out=profile_out,
-                                  profile_interval=profile_interval,
-                                  feed=feed, fuse=fuse)
-        if stats_out is not None:
-            stats_out.extend(stats)
-        return reports, stats
     return run_seeds_parallel(
         spec.detector, spec.build(), spec.name, entry=spec.entry,
         inputs=spec.workload_inputs, seeds=spec.detect_seeds,
         annotations=annotations, max_steps=spec.max_steps, jobs=jobs,
-        stats_out=stats_out, executor=executor, tracer=tracer,
-        cache=cache, policy=policy, profile_out=profile_out,
-        profile_interval=profile_interval, feed=feed, fuse=fuse,
+        executor=executor, tracer=tracer, cache=cache, policy=policy,
+        profile_out=profile_out, profile_interval=profile_interval,
+        feed=feed, fuse=fuse,
     )
-
-
-def run_detectors_batch(
-    specs: Sequence[ProgramSpec],
-    jobs: int = 2,
-    executor: Optional[ProcessPoolExecutor] = None,
-    cache=None,
-    policy: Optional[BatchPolicy] = None,
-) -> Dict[str, Tuple[ReportSet, List[RunStats]]]:
-    """Fan *all* ``(program × seed)`` detector runs out over one pool.
-
-    Seeds of every program interleave freely across workers; each program's
-    reports are still merged in its own seed order.  Programs that cannot be
-    rebuilt in a worker run serially, after the parallel ones complete.
-    """
-    parallel = [spec for spec in specs if can_parallelize(spec)]
-    serial = [spec for spec in specs if not can_parallelize(spec)]
-    payloads: List[Dict] = []
-    owners: List[ProgramSpec] = []
-    for spec in parallel:
-        for seed in spec.detect_seeds:
-            payloads.append(_detect_payload(
-                spec.detector, spec.name, seed, spec.entry,
-                spec.workload_inputs, None, spec.max_steps, 3, (),
-            ))
-            owners.append(spec)
-    keys = (
-        [_detect_item_key(cache, spec.build(), payload)
-         for spec, payload in zip(owners, payloads)]
-        if cache is not None else None
-    )
-    outputs = run_cached_tasks(
-        _detect_worker, payloads, cache=cache, stage="detect", keys=keys,
-        jobs=jobs, executor=executor, policy=policy,
-    )
-    grouped: Dict[str, Dict[int, Dict]] = {spec.name: {} for spec in parallel}
-    for spec, output in zip(owners, outputs):
-        grouped[spec.name][output["seed"]] = output
-    results: Dict[str, Tuple[ReportSet, List[RunStats]]] = {}
-    for spec in parallel:
-        merged = ReportSet()
-        stats: List[RunStats] = []
-        for seed in spec.detect_seeds:
-            output = grouped[spec.name][seed]
-            merged.merge(reports_from_payloads(spec.build(), output["reports"]))
-            stats.append(RunStats(*output["stats"]))
-        results[spec.name] = (merged, stats)
-    for spec in serial:
-        results[spec.name] = run_detector_batch(spec, jobs=1)
-    return results
 
 
 # ---------------------------------------------------------------------------

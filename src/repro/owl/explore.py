@@ -37,18 +37,27 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.report import ReportSet
+from repro.detectors.tsan import front_end, profile_stride, run_seed, run_seeds
+from repro.owl.batch import (
+    annotations_to_payload,
+    can_parallelize,
+    report_from_payload,
+    report_to_payload,
+    run_seeds_parallel,
+)
 from repro.runtime.coverage import CoverageMap, SeedCoverage
 from repro.runtime.metrics import RunStats
 
-#: Schedule-family ladders: the base rung first, then each escalation.
-#: TSan escalates from uniform random into PCT (a stronger bug-finding
-#: family); SKI is PCT already, so escalation deepens it.
-_TSAN_LADDER: Tuple[Tuple[str, int], ...] = (
+#: Schedule-family ladders: the base rung (the front end's default
+#: family) first, then each escalation.  TSan escalates from uniform
+#: random into PCT (a stronger bug-finding family); SKI is PCT already,
+#: so escalation deepens it.
+_RANDOM_LADDER: Tuple[Tuple[str, int], ...] = (
     ("random", 3), ("pct", 3), ("pct", 5),
 )
 
 
-def _ski_ladder(depth: int) -> Tuple[Tuple[str, int], ...]:
+def _pct_ladder(depth: int) -> Tuple[Tuple[str, int], ...]:
     return (("pct", depth), ("pct", depth + 2), ("pct", depth + 4))
 
 
@@ -96,7 +105,9 @@ class ExplorePolicy:
     def ladder_for(self, kind: str, depth: int) -> Tuple[Tuple[str, int], ...]:
         if self.ladder is not None:
             return self.ladder
-        return _ski_ladder(depth) if kind == "ski" else _TSAN_LADDER
+        if front_end(kind)[1] == "pct":
+            return _pct_ladder(depth)
+        return _RANDOM_LADDER
 
     @property
     def last(self) -> Optional["ExplorationResult"]:
@@ -223,58 +234,6 @@ class ExplorationResult:
 # wave execution
 
 
-def _scheduler_factory(family: str, depth: int):
-    """TSan scheduler factory for one ladder rung (None = default random)."""
-    if family == "pct":
-        from repro.runtime.scheduler import PCTScheduler
-
-        return lambda seed: PCTScheduler(seed=seed, depth=depth)
-    return None
-
-
-def _run_wave_serial(
-    kind: str, module, seeds: Sequence[int], family: str, depth: int,
-    entry: str, inputs, annotations, max_steps: int, entry_args,
-    tracer, profile_out=None, profile_interval=None, feed=None,
-) -> Tuple[ReportSet, List[RunStats], List[SeedCoverage]]:
-    """One wave without a registry spec: plain in-process seed runs."""
-    from repro.detectors.ski import run_ski_seed
-    from repro.detectors.tsan import run_tsan_seed
-
-    merged = ReportSet()
-    stats: List[RunStats] = []
-    coverage: List[SeedCoverage] = []
-    for seed in seeds:
-        started = time.perf_counter()
-        if kind == "ski":
-            seed_reports, result, detector = run_ski_seed(
-                module, seed, entry=entry, inputs=inputs,
-                annotations=annotations, max_steps=max_steps, depth=depth,
-                tracer=tracer, coverage_out=coverage,
-                profile_out=profile_out, profile_interval=profile_interval,
-            )
-        else:
-            seed_reports, result, detector = run_tsan_seed(
-                module, seed, entry=entry, inputs=inputs,
-                annotations=annotations, max_steps=max_steps,
-                scheduler_factory=_scheduler_factory(family, depth),
-                entry_args=entry_args, tracer=tracer,
-                coverage_out=coverage,
-                profile_out=profile_out, profile_interval=profile_interval,
-            )
-        merged.merge(seed_reports)
-        stats.append(RunStats(
-            seed=seed, reason=result.reason, steps=result.steps,
-            accesses=detector.access_count, reports=len(seed_reports),
-            wall_seconds=time.perf_counter() - started,
-        ))
-        if feed is not None:
-            feed.seed_done(stage="detect", seed=seed, detector=kind,
-                           steps=result.steps, reports=len(seed_reports),
-                           cached=False)
-    return merged, stats, coverage
-
-
 def _run_predict_wave(
     kind: str, module, entry: str, inputs, annotations, max_steps: int,
     entry_args, family: str, depth: int, predict_policy, tracer=None,
@@ -294,11 +253,6 @@ def _run_predict_wave(
     count; cacheable as one ``predict`` stage entry.
     """
     from repro.detectors.predict import PredictionResult, predict_from_log
-    from repro.owl.batch import (
-        annotations_to_payload,
-        report_from_payload,
-        report_to_payload,
-    )
 
     key = None
     if cache is not None:
@@ -326,40 +280,22 @@ def _run_predict_wave(
                                reports=stats[0].reports, cached=True)
             return reports, stats, coverage, prediction
 
-    from repro.detectors.ski import run_ski_seed
-    from repro.detectors.tsan import run_tsan_seed
-
-    started = time.perf_counter()
-    record_out: List = []
-    coverage_out: List[SeedCoverage] = []
-    if kind == "ski":
-        seed_reports, result, detector = run_ski_seed(
-            module, 0, entry=entry, inputs=inputs, annotations=annotations,
-            max_steps=max_steps, depth=depth, tracer=tracer,
-            coverage_out=coverage_out, record_out=record_out,
-            profile_out=profile_out, profile_interval=profile_interval,
-        )
-    else:
-        seed_reports, result, detector = run_tsan_seed(
-            module, 0, entry=entry, inputs=inputs, annotations=annotations,
-            max_steps=max_steps,
-            scheduler_factory=_scheduler_factory(family, depth),
-            entry_args=entry_args, tracer=tracer,
-            coverage_out=coverage_out, record_out=record_out,
-            profile_out=profile_out, profile_interval=profile_interval,
-        )
-    log = record_out[0]
+    run = run_seed(
+        module, 0, kind=kind, entry=entry, inputs=inputs,
+        annotations=annotations, max_steps=max_steps, scheduler=family,
+        depth=depth, entry_args=entry_args, tracer=tracer, coverage=True,
+        record=True, profile=profile_stride(profile_out, profile_interval),
+    )
+    if profile_out is not None:
+        profile_out.append(run.profile)
+    seed_reports = run.reports
     prediction = predict_from_log(
-        module, log, annotations=annotations, inputs=inputs,
+        module, run.log, annotations=annotations, inputs=inputs,
         world_factory=world_factory, policy=predict_policy,
         observed_keys={report.static_key for report in seed_reports},
     )
-    stats = [RunStats(
-        seed=0, reason=result.reason, steps=result.steps,
-        accesses=detector.access_count, reports=len(seed_reports),
-        wall_seconds=time.perf_counter() - started,
-    )]
-    seed0 = coverage_out[0]
+    stats = [run.stats()]
+    seed0 = run.coverage
     coverage = SeedCoverage(
         seed=0, pairs=seed0.pairs | prediction.predicted_keys,
         signature=seed0.signature, switches=seed0.switches,
@@ -371,15 +307,14 @@ def _run_predict_wave(
     if cache is not None and key is not None:
         cache.put("predict", key, {
             "reports": [report_to_payload(r) for r in seed_reports],
-            "stats": (0, result.reason, result.steps,
-                      detector.access_count, len(seed_reports),
-                      stats[0].wall_seconds),
+            "stats": (0, run.result.reason, run.result.steps, run.accesses,
+                      len(seed_reports), run.wall_seconds),
             "coverage": coverage.to_payload(),
             "prediction": prediction.to_payload(),
         })
     if feed is not None:
         feed.seed_done(stage="detect", seed=0, detector=kind,
-                       steps=result.steps, reports=len(seed_reports),
+                       steps=run.result.steps, reports=len(seed_reports),
                        cached=False)
     return reports, stats, coverage, prediction
 
@@ -400,7 +335,6 @@ def explore_seeds(
     depth: int = 3,
     jobs: int = 1,
     executor=None,
-    stats_out: Optional[List] = None,
     tracer=None,
     cache=None,
     policy=None,
@@ -409,14 +343,12 @@ def explore_seeds(
     profile_interval: Optional[int] = None,
     feed=None,
     world_factory=None,
-    fuse: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Coverage-guided exploration over seeds ``0 .. max_seeds - 1``.
 
     Drop-in replacement for the fixed sweep of
-    :func:`repro.detectors.tsan.run_tsan` /
-    :func:`repro.detectors.ski.run_ski` (same ``(reports, stats)`` return
-    contract; ``policy`` is the batch fault-tolerance policy, ``explore``
+    :func:`repro.detectors.tsan.run_seeds` (same ``(reports, stats)``
+    return contract; ``policy`` is the batch fault-tolerance policy, ``explore``
     the exploration policy).  The seed values are the prefix of the same
     ``range()`` the blind sweep uses, under the same base schedule family,
     so a run that saturates before escalating has — by construction —
@@ -440,14 +372,12 @@ def explore_seeds(
     not decide.  ``world_factory`` builds a fresh OS-world for each
     witness replay of that wave (specs with an ``initial_world``).
 
-    ``fuse`` is accepted for interface symmetry with the fixed sweeps
-    but is deliberately not applied: every exploration wave tracks
-    interleaving coverage through the :class:`SwitchTracker` scheduler
-    wrapper, which forces stepwise execution (``run_length == 1``) so
-    context-switch signatures stay byte-identical — fusing here would
-    only add plan-compilation overhead with no fused runs.
+    Exploration never fuses: every wave tracks interleaving coverage
+    through the :class:`SwitchTracker` scheduler wrapper, which forces
+    stepwise execution (``run_length == 1``) so context-switch signatures
+    stay byte-identical — fusing would only add plan-compilation overhead
+    with no fused runs.
     """
-    del fuse  # see docstring: coverage tracking forces stepwise execution
     explore = explore if explore is not None else ExplorePolicy()
     ladder = explore.ladder_for(kind, depth)
     result = ExplorationResult(kind, explore)
@@ -492,25 +422,23 @@ def explore_seeds(
             cursor, min(cursor + explore.wave_size, explore.max_seeds)))
         cursor += len(wave_seeds)
         family, wave_depth = ladder[rung]
+        wave_coverage: List[SeedCoverage] = []
         if module_source is not None:
-            from repro.owl.batch import run_seeds_parallel
-
-            wave_coverage: List[SeedCoverage] = []
-            wave_stats: List[RunStats] = []
-            wave_reports, _ = run_seeds_parallel(
+            wave_reports, wave_stats = run_seeds_parallel(
                 kind, module, module_source, entry=entry, inputs=inputs,
                 seeds=wave_seeds, annotations=annotations,
                 max_steps=max_steps, entry_args=entry_args, depth=wave_depth,
-                jobs=jobs, stats_out=wave_stats, executor=executor,
-                tracer=tracer, cache=cache, policy=policy,
-                scheduler=family, coverage_out=wave_coverage,
+                jobs=jobs, executor=executor, tracer=tracer, cache=cache,
+                policy=policy, scheduler=family, coverage_out=wave_coverage,
                 profile_out=profile_out, profile_interval=profile_interval,
                 feed=feed,
             )
         else:
-            wave_reports, wave_stats, wave_coverage = _run_wave_serial(
-                kind, module, wave_seeds, family, wave_depth, entry, inputs,
-                annotations, max_steps, entry_args, tracer,
+            wave_reports, wave_stats = run_seeds(
+                kind, module, wave_seeds, entry=entry, inputs=inputs,
+                annotations=annotations, max_steps=max_steps,
+                scheduler=family, depth=wave_depth, entry_args=entry_args,
+                tracer=tracer, coverage_out=wave_coverage,
                 profile_out=profile_out, profile_interval=profile_interval,
                 feed=feed,
             )
@@ -549,8 +477,6 @@ def explore_seeds(
             break
     result.wall_seconds = time.perf_counter() - started
     explore.history.append(result)
-    if stats_out is not None:
-        stats_out.extend(stats)
     return merged, stats
 
 
@@ -559,7 +485,6 @@ def explore_program(
     annotations=None,
     jobs: int = 1,
     executor=None,
-    stats_out: Optional[List] = None,
     tracer=None,
     cache=None,
     policy=None,
@@ -567,7 +492,6 @@ def explore_program(
     profile_out: Optional[List] = None,
     profile_interval: Optional[int] = None,
     feed=None,
-    fuse: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Exploration over one :class:`repro.spec.ProgramSpec`'s detector.
 
@@ -576,21 +500,16 @@ def explore_program(
     through the result cache); anything else explores serially with
     identical results.
     """
-    from repro.owl.batch import can_parallelize
-
     parallel = can_parallelize(spec)
     if not parallel:
         cache = None  # keys need the registry-rebuilt module
-    world_factory = None
-    if spec.initial_world is not None:
-        world_factory = spec.initial_world
     return explore_seeds(
         spec.detector, spec.build(),
         module_source=spec.name if parallel else None,
         entry=spec.entry, inputs=spec.workload_inputs,
         annotations=annotations, max_steps=spec.max_steps,
-        jobs=jobs, executor=executor, stats_out=stats_out, tracer=tracer,
-        cache=cache, policy=policy, explore=explore,
-        profile_out=profile_out, profile_interval=profile_interval,
-        feed=feed, world_factory=world_factory, fuse=fuse,
+        jobs=jobs, executor=executor, tracer=tracer, cache=cache,
+        policy=policy, explore=explore, profile_out=profile_out,
+        profile_interval=profile_interval, feed=feed,
+        world_factory=spec.initial_world,
     )

@@ -18,9 +18,9 @@ from typing import List, Optional, Tuple
 
 from repro.detectors.annotations import AnnotationSet
 from repro.detectors.report import RaceReport, ReportSet
-from repro.detectors.ski import run_ski
-from repro.detectors.tsan import run_tsan
-from repro.runtime.interpreter import ExecutionResult
+from repro.detectors.tsan import run_seeds
+from repro.owl.batch import can_parallelize, run_detector_batch
+from repro.runtime.metrics import RunStats
 from repro.spec import ProgramSpec
 
 
@@ -29,7 +29,6 @@ def run_detector(
     annotations: Optional[AnnotationSet] = None,
     jobs: int = 1,
     executor=None,
-    stats_out: Optional[List] = None,
     tracer=None,
     cache=None,
     policy=None,
@@ -39,83 +38,61 @@ def run_detector(
     profile_interval: Optional[int] = None,
     feed=None,
     fuse: bool = False,
-) -> Tuple[ReportSet, List]:
+) -> Tuple[ReportSet, List[RunStats]]:
     """Run the spec's front-end detector over its configured schedules.
 
-    With ``jobs > 1`` (or an explicit process-pool ``executor``) the seeds
-    fan out via :mod:`repro.owl.batch`; reports are merged in seed order so
-    the result is identical to the serial run.  In the parallel case the
-    second element of the returned tuple holds per-seed
-    :class:`repro.runtime.metrics.RunStats` instead of
-    :class:`ExecutionResult` objects (which cannot cross process
-    boundaries); ``stats_out`` receives the stats in both modes.  ``tracer``
-    (a :class:`repro.runtime.spans.SpanTracer`) collects one ``detect_seed``
-    span per execution, adopted in seed order in the parallel case.
+    The single dispatcher of every detector sweep, each of which returns
+    the merged reports and one :class:`repro.runtime.metrics.RunStats` per
+    executed seed, in seed order:
 
-    A ``cache`` (:class:`repro.owl.cache.ResultCache`) also routes through
-    the batch path — even at ``jobs=1``, where cache misses execute
-    in-process — so already-computed seeds are never re-executed; the
-    per-seed stats then come back as :class:`RunStats` as in the parallel
-    case.  ``policy`` (:class:`repro.owl.batch.BatchPolicy`) supplies the
-    pooled path's timeout/retry budgets.
+    - a ``replay`` source (:class:`repro.owl.replay.ReplaySource`)
+      re-executes its recorded logs with the detector attached;
+    - an ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
+      replaces the fixed ``detect_seeds`` sweep with coverage-guided
+      adaptive budgeting; its :class:`ExplorationResult` lands in
+      ``explore.history``;
+    - ``jobs > 1``, an ``executor`` or a ``cache``
+      (:class:`repro.owl.cache.ResultCache`) route a registry-resolvable
+      spec through :func:`repro.owl.batch.run_detector_batch` — pooled, or
+      in-process at ``jobs=1`` with cache hits never re-executed;
+      ``policy`` (:class:`repro.owl.batch.BatchPolicy`) bounds each pooled
+      item's wait/retry budget;
+    - anything else runs the serial sweep
+      (:func:`repro.detectors.tsan.run_seeds`).
 
-    An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
-    replaces the spec's fixed ``detect_seeds`` sweep with coverage-guided
-    adaptive budgeting; the run's :class:`ExplorationResult` lands in
-    ``explore.history``.
-
-    A ``replay`` source (:class:`repro.owl.replay.ReplaySource`) replaces
-    live execution entirely: every recorded log is deterministically
-    re-executed with the detector attached (see :mod:`repro.owl.replay`);
-    profiling and feed events apply to live paths only.
-
-    ``profile_out``/``profile_interval`` sample the VM every K scheduler
-    decisions into per-seed :class:`repro.runtime.profiler.SeedProfile`
-    aggregates; ``feed`` (an :class:`repro.owl.stream.EventFeed`)
-    receives one ``seed_done`` progress event per executed seed.
-
-    ``fuse=True`` executes the sweep with superinstruction fusion
-    (:mod:`repro.runtime.fuse`); the detector observes bit-identical
-    events, faults and steps, so reports, coverage and logs are
-    unchanged — only steps/s moves.  Replay sources ignore the flag
-    (replayed decisions are scripted, which forces stepwise execution).
+    All routes produce the same reports and stats.  ``tracer`` collects one
+    ``detect_seed`` span per execution; ``profile_out``/``profile_interval``
+    sample every live seed (:mod:`repro.runtime.profiler`); ``feed`` (an
+    :class:`repro.owl.stream.EventFeed`) receives one ``seed_done`` event
+    per live seed.  ``fuse`` (a bool or a shared
+    :class:`repro.runtime.fuse.FuseEngine`) turns on superinstruction
+    fusion for fixed sweeps; the detector observes bit-identical events,
+    so only steps/s moves.
     """
     if replay is not None:
-        return replay.run_detector(
-            annotations=annotations, stats_out=stats_out, tracer=tracer,
-        )
+        return replay.run_detector(annotations=annotations, tracer=tracer)
     if explore is not None:
         from repro.owl.explore import explore_program
 
         return explore_program(
             spec, annotations=annotations, jobs=jobs, executor=executor,
-            stats_out=stats_out, tracer=tracer, cache=cache, policy=policy,
-            explore=explore, profile_out=profile_out,
-            profile_interval=profile_interval, feed=feed, fuse=fuse,
+            tracer=tracer, cache=cache, policy=policy, explore=explore,
+            profile_out=profile_out, profile_interval=profile_interval,
+            feed=feed,
         )
-    if (jobs and jobs > 1) or executor is not None or cache is not None:
-        from repro.owl.batch import run_detector_batch
-
+    if (jobs > 1 or executor is not None or cache is not None) \
+            and can_parallelize(spec):
         return run_detector_batch(
             spec, annotations=annotations, jobs=jobs, executor=executor,
-            stats_out=stats_out, tracer=tracer, cache=cache, policy=policy,
+            tracer=tracer, cache=cache, policy=policy,
             profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=fuse,
+            feed=feed, fuse=bool(fuse),
         )
-    if spec.detector == "ski":
-        return run_ski(
-            spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=spec.detect_seeds, annotations=annotations,
-            max_steps=spec.max_steps, stats_out=stats_out, tracer=tracer,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=fuse,
-        )
-    return run_tsan(
-        spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
-        seeds=spec.detect_seeds, annotations=annotations,
-        max_steps=spec.max_steps, stats_out=stats_out, tracer=tracer,
-        profile_out=profile_out, profile_interval=profile_interval,
-        feed=feed, fuse=fuse,
+    return run_seeds(
+        spec.detector, spec.build(), spec.detect_seeds, entry=spec.entry,
+        inputs=spec.workload_inputs, annotations=annotations,
+        max_steps=spec.max_steps, tracer=tracer, profile_out=profile_out,
+        profile_interval=profile_interval, feed=feed, fuse=fuse,
     )
 
 

@@ -524,21 +524,7 @@ class OwlPipeline:
         with result.metrics.stage("detect", unit="reports") as stage, \
                 result.spans.span("stage:detect") as span:
             marks = self._cache_marks()
-            stats: List = []
-            if self.replay is not None:
-                reports, _ = self.replay.run_detector(
-                    stats_out=stats, tracer=result.spans,
-                )
-            else:
-                if self._fuse_engine is not None:
-                    self._fuse_stages += 1
-                reports, _ = run_detector(
-                    self.spec, jobs=jobs, executor=executor, stats_out=stats,
-                    tracer=result.spans, cache=self.cache, policy=self.policy,
-                    explore=self.explore, profile_out=self._profiles,
-                    profile_interval=self.profile, feed=self.feed,
-                    fuse=self._fuse_engine or False,
-                )
+            reports, stats = self._run_detector(result, jobs, executor)
             stage.absorb_run_stats(stats)
             self._observe_seed_stats(stats)
             stage.items = len(reports)
@@ -563,6 +549,19 @@ class OwlPipeline:
                 # status — replay-witnessed or explicitly unwitnessed.
                 result.provenance.record(
                     report, "predict", "predicted", **predicted)
+
+    def _run_detector(self, result: PipelineResult, jobs: int, executor,
+                      annotations: Optional[AnnotationSet] = None):
+        """One detector sweep with this pipeline's options."""
+        if self.replay is None and self._fuse_engine is not None:
+            self._fuse_stages += 1
+        return run_detector(
+            self.spec, annotations=annotations, jobs=jobs, executor=executor,
+            tracer=result.spans, cache=self.cache, policy=self.policy,
+            explore=self.explore, replay=self.replay,
+            profile_out=self._profiles, profile_interval=self.profile,
+            feed=self.feed, fuse=self._fuse_engine or False,
+        )
 
     def _observe_seed_stats(self, stats) -> None:
         """Per-seed step/report histograms (deterministic: seed order)."""
@@ -615,26 +614,11 @@ class OwlPipeline:
             result.annotations = annotations
             result.counters.adhoc_syncs = annotations.unique_static_count()
             if len(annotations):
-                stats: List = []
-                if self.replay is not None:
-                    # Same logs, annotation-aware detector: annotations only
-                    # change what the observer reports, never the schedule.
-                    reports, _ = self.replay.run_detector(
-                        annotations=annotations, stats_out=stats,
-                        tracer=result.spans,
-                    )
-                else:
-                    if self._fuse_engine is not None:
-                        self._fuse_stages += 1
-                    reports, _ = run_detector(
-                        self.spec, annotations=annotations, jobs=jobs,
-                        executor=executor, stats_out=stats,
-                        tracer=result.spans, cache=self.cache,
-                        policy=self.policy, explore=self.explore,
-                        profile_out=self._profiles,
-                        profile_interval=self.profile, feed=self.feed,
-                        fuse=self._fuse_engine or False,
-                    )
+                # Under replay: same logs, annotation-aware detector —
+                # annotations only change what the observer reports,
+                # never the schedule.
+                reports, stats = self._run_detector(
+                    result, jobs, executor, annotations=annotations)
                 stage.absorb_run_stats(stats)
                 self._observe_seed_stats(stats)
                 self._record_explore(result, stage, span)

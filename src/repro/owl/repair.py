@@ -67,6 +67,7 @@ import json
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.detectors.tsan import run_seeds
 from repro.runtime import externals
 
 from repro.ir.instructions import (
@@ -246,25 +247,9 @@ def gate_oracle(spec, original: Module, patched: Module,
 
 
 def _front_detector_reports(spec, module: Module):
-    if spec.detector == "ski":
-        from repro.detectors.ski import run_ski
-
-        reports, _ = run_ski(
-            module,
-            entry=spec.entry,
-            inputs=spec.workload_inputs,
-            seeds=spec.detect_seeds,
-            max_steps=spec.max_steps,
-        )
-        return reports
-    from repro.detectors.tsan import run_tsan
-
-    reports, _ = run_tsan(
-        module,
-        entry=spec.entry,
-        inputs=spec.workload_inputs,
-        seeds=spec.detect_seeds,
-        max_steps=spec.max_steps,
+    reports, _ = run_seeds(
+        spec.detector, module, spec.detect_seeds, entry=spec.entry,
+        inputs=spec.workload_inputs, max_steps=spec.max_steps,
     )
     return reports
 

@@ -27,13 +27,13 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.report import ReportSet
+from repro.detectors.tsan import front_end, make_scheduler
 from repro.runtime.metrics import RunStats
 from repro.runtime.record import (
     ScheduleLog,
     record_seed,
     replay_log,
 )
-from repro.runtime.scheduler import PCTScheduler, RandomScheduler
 from repro.spec import ProgramSpec
 
 DEFAULT_RECORD_DIR = os.path.join("benchmarks", "out", "records")
@@ -64,9 +64,8 @@ def discover_seeds(record_dir: str, program: str) -> List[int]:
 
 def _spec_scheduler(spec: ProgramSpec, seed: int, depth: int = 3):
     """The scheduler a live detector run of this spec would use."""
-    if spec.detector == "ski":
-        return PCTScheduler(seed=seed, depth=depth), "PCTScheduler"
-    return RandomScheduler(seed), "RandomScheduler"
+    scheduler = make_scheduler(front_end(spec.detector)[1], seed, depth)
+    return scheduler, type(scheduler).__name__
 
 
 def _spec_world(spec: ProgramSpec):
@@ -164,7 +163,6 @@ class ReplaySource:
     def run_detector(
         self,
         annotations=None,
-        stats_out: Optional[List] = None,
         tracer=None,
     ) -> Tuple[ReportSet, List[RunStats]]:
         """Replay every log with the spec's detector attached.
@@ -177,10 +175,7 @@ class ReplaySource:
         """
         from repro.runtime.spans import maybe_span
 
-        if self.spec.detector == "ski":
-            from repro.detectors.ski import SkiDetector as detector_cls
-        else:
-            from repro.detectors.tsan import TSanDetector as detector_cls
+        detector_cls = front_end(self.spec.detector)[0]
         module = self.spec.build()
         merged = ReportSet()
         stats: List[RunStats] = []
@@ -214,8 +209,6 @@ class ReplaySource:
                 reports=len(detector.reports),
                 wall_seconds=outcome.wall_seconds,
             ))
-        if stats_out is not None:
-            stats_out.extend(stats)
         return merged, stats
 
     @property

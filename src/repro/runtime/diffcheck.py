@@ -354,8 +354,8 @@ def diff_program(spec, seeds: Sequence[int] = range(10),
     engine = None
     if fuse:
         # One engine across the sweep: block compiles amortize exactly as
-        # they do in run_tsan/run_ski's serial paths, so the fused steps/s
-        # reflect steady-state fusion rather than per-seed warmup.
+        # they do in the serial detector sweep (run_seeds), so the fused
+        # steps/s reflect steady-state fusion rather than per-seed warmup.
         from repro.runtime.fuse import FuseEngine
 
         engine = FuseEngine()
@@ -524,7 +524,7 @@ def benchmark_fused(spec, seeds: Sequence[int] = range(10),
 
     seeds = list(seeds)
     engine = FuseEngine()
-    # One module for every VM, exactly like run_tsan/run_ski sweeps: a
+    # One module for every VM, exactly like the run_seeds sweep: a
     # fresh build per seed would re-randomize addresses and invalidate the
     # shared engine's plans on every attach.
     module = spec.build()

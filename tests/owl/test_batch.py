@@ -15,11 +15,13 @@ from repro.owl.batch import (
     report_from_payload,
     report_to_payload,
     run_detector_batch,
-    run_detectors_batch,
     verify_races_batch,
 )
+from repro.owl.cache import ResultCache
+from repro.owl.explore import ExplorePolicy
 from repro.owl.integration import run_detector
 from repro.owl.pipeline import OwlPipeline
+from repro.owl.replay import record_program
 from repro.runtime.metrics import (
     PipelineMetrics,
     RunStats,
@@ -60,25 +62,38 @@ class TestPayloads:
             assert clone.first.byte_range == report.first.byte_range
 
 
-class TestDetectorParity:
-    def test_parallel_detect_matches_serial(self):
-        spec = spec_by_name("libsafe")
-        serial, serial_stats = run_detector_batch(spec)
-        parallel, parallel_stats = run_detector_batch(spec, jobs=2)
-        assert _fingerprints(parallel) == _fingerprints(serial)
-        assert [s.seed for s in parallel_stats] == [s.seed for s in serial_stats]
-        assert [s.steps for s in parallel_stats] == [s.steps for s in serial_stats]
-        assert [s.reports for s in parallel_stats] == [
-            s.reports for s in serial_stats]
+def _stats_fields(stats):
+    return [(s.seed, s.reason, s.steps, s.accesses, s.reports)
+            for s in stats]
 
-    def test_multi_program_batch(self):
-        specs = [spec_by_name("libsafe"), spec_by_name("ssdb")]
-        results = run_detectors_batch(specs, jobs=2)
-        for spec in specs:
-            serial, _ = run_detector_batch(spec)
-            reports, stats = results[spec.name]
-            assert _fingerprints(reports) == _fingerprints(serial)
-            assert len(stats) == len(list(spec.detect_seeds))
+
+class TestDetectorParity:
+    def test_parallel_detect_matches_serial(self, tmp_path):
+        """Every route of run_detector returns the serial sweep's result."""
+        for program in ("libsafe", "linux_proc"):
+            spec = spec_by_name(program)
+            seeds = len(spec.detect_seeds)
+            assert list(spec.detect_seeds) == list(range(seeds))
+            root = str(tmp_path / program)
+            serial, serial_stats = run_detector(spec)
+            routes = {
+                "jobs=2": lambda: run_detector(spec, jobs=2),
+                "cold cache, jobs=1": lambda: run_detector(
+                    spec, cache=ResultCache(root)),
+                "warm cache, jobs=1": lambda: run_detector(
+                    spec, cache=ResultCache(root)),
+                # never saturating, never escalating: the fixed sweep
+                "explore": lambda: run_detector(spec, explore=ExplorePolicy(
+                    max_seeds=seeds, saturation_k=seeds, escalate=False)),
+                "replay": lambda: run_detector(
+                    spec, replay=record_program(spec)),
+            }
+            for route, run in routes.items():
+                reports, stats = run()
+                assert _fingerprints(reports) == _fingerprints(serial), (
+                    program, route)
+                assert _stats_fields(stats) == _stats_fields(serial_stats), (
+                    program, route)
 
     def test_race_verification_parity(self):
         # Serial verification works on instruction *identity*, so detect and

@@ -99,7 +99,7 @@ class TestFuseCacheKeys:
         assert off["fuse"] is True
 
     def test_fused_and_stepwise_seeds_cache_separately(self, tmp_path):
-        from repro.owl.batch import _detect_item_key, _detect_payload
+        from repro.owl.batch import _detect_payload, _item_key
         from repro.owl.cache import ResultCache
 
         cache = ResultCache(str(tmp_path))
@@ -107,8 +107,8 @@ class TestFuseCacheKeys:
         plain = _detect_payload("tsan", None, 0, "main", {}, None, 1000, 3, ())
         fused = _detect_payload("tsan", None, 0, "main", {}, None, 1000, 3, (),
                                 fuse=True)
-        assert (_detect_item_key(cache, module, plain)
-                != _detect_item_key(cache, module, fused))
+        assert (_item_key(cache, module, plain)
+                != _item_key(cache, module, fused))
 
 
 class TestFusedDetectorSweeps:

@@ -144,7 +144,7 @@ class TestRecordModeCaching:
             spec.detector, spec.build(), spec.module_factory,
             entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(4), max_steps=spec.max_steps, jobs=1,
-            cache=cache, record=True, logs_out=logs,
+            cache=cache, logs_out=logs,
         )
         assert [log.seed for log in logs] == [0, 1, 2, 3]
         assert cache.stage_counters("detect")["stores"] == 4
@@ -157,7 +157,7 @@ class TestRecordModeCaching:
             spec.detector, spec.build(), spec.module_factory,
             entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(4), max_steps=spec.max_steps, jobs=1,
-            cache=cache2, record=True, logs_out=logs2,
+            cache=cache2, logs_out=logs2,
         )
         assert cache2.stage_counters("detect")["misses"] == 0
         assert cache2.stage_counters("record")["misses"] == 0
@@ -176,7 +176,7 @@ class TestRecordModeCaching:
             spec.detector, spec.build(), spec.module_factory,
             entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=cache, record=True, logs_out=[],
+            cache=cache, logs_out=[],
         )
         # drop the record stage entirely; detect entries stay warm
         import shutil
@@ -187,7 +187,7 @@ class TestRecordModeCaching:
             spec.detector, spec.build(), spec.module_factory,
             entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=cache2, record=True, logs_out=logs,
+            cache=cache2, logs_out=logs,
         )
         assert [log.seed for log in logs] == [0, 1]
         assert cache2.stage_counters("record")["stores"] == 2
@@ -209,7 +209,7 @@ class TestRecordModeCaching:
             spec.detector, spec.build(), spec.module_factory,
             entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(record_root), record=True, logs_out=[],
+            cache=ResultCache(record_root), logs_out=[],
         )
 
         def entries(root, stage):
@@ -236,7 +236,7 @@ class TestRecordModeCaching:
             spec.detector, spec.build(), spec.module_factory,
             entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(root), record=True, logs_out=[],
+            cache=ResultCache(root), logs_out=[],
         )
 
         def sizes(stage):

@@ -1,6 +1,6 @@
 """Tests for interleaving-coverage tracking (repro.runtime.coverage)."""
 
-from repro.detectors.tsan import run_tsan_seed
+from repro.detectors.tsan import run_seed
 from repro.runtime import RandomScheduler
 from repro.runtime.coverage import CoverageMap, SeedCoverage, SwitchTracker
 from tests.helpers import build_counter_race
@@ -80,21 +80,23 @@ class TestSeedCoverage:
 
     def test_from_run_collects_report_pairs_and_schedule(self):
         module = build_counter_race(iterations=3)
-        collected = []
-        reports, _, _ = run_tsan_seed(module, 1, coverage_out=collected)
-        assert len(collected) == 1
-        coverage = collected[0]
+        run = run_seed(module, 1, coverage=True)
+        coverage = run.coverage
         assert coverage.seed == 1
-        assert coverage.pairs == {report.static_key for report in reports}
+        assert coverage.pairs == {report.static_key for report in run.reports}
         assert coverage.signature  # a real schedule always switched
         assert coverage.switches > 0
 
     def test_coverage_collection_does_not_change_reports(self):
         module = build_counter_race(iterations=3)
-        plain, _, _ = run_tsan_seed(module, 2)
-        collected = []
-        tracked, _, _ = run_tsan_seed(module, 2, coverage_out=collected)
-        assert [r.uid for r in plain] == [r.uid for r in tracked]
+        for kind in ("tsan", "ski"):
+            plain = run_seed(module, 2, kind=kind)
+            tracked = run_seed(module, 2, kind=kind, coverage=True)
+            assert plain.coverage is None
+            assert tracked.result.steps == plain.result.steps, kind
+            assert ([r.uid for r in plain.reports]
+                    == [r.uid for r in tracked.reports]), kind
+            assert all(r.detector == kind for r in tracked.reports)
 
 
 class TestCoverageMap:

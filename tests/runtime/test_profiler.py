@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.registry import spec_by_name
-from repro.detectors.tsan import run_tsan_seed
+from repro.detectors.tsan import run_seed, run_seeds
 from repro.runtime.profiler import (
     DEFAULT_SAMPLE_INTERVAL,
     SamplingProfiler,
@@ -14,13 +14,12 @@ from repro.runtime.profiler import (
 
 def profile_seed(seed=0, interval=97, program="memcached"):
     spec = spec_by_name(program)
-    out = []
-    _, result, _ = run_tsan_seed(
+    run = run_seed(
         spec.build(), seed, entry=spec.entry, inputs=spec.workload_inputs,
-        max_steps=spec.max_steps, profile_out=out, profile_interval=interval,
+        max_steps=spec.max_steps, profile=interval,
     )
-    assert len(out) == 1
-    return out[0], result
+    assert run.profile is not None
+    return run.profile, run.result
 
 
 class TestSeedProfile:
@@ -97,16 +96,20 @@ class TestSamplingProfiler:
         assert first.collapsed() == second.collapsed()
 
     def test_profiling_leaves_schedule_and_reports_unchanged(self):
-        spec = spec_by_name("memcached")
-        plain_reports, plain, _ = run_tsan_seed(
-            spec.build(), 0, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps)
-        sampled_reports, sampled, _ = run_tsan_seed(
-            spec.build(), 0, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps, profile_out=[], profile_interval=97)
-        assert sampled.steps == plain.steps
-        assert ([r.uid for r in sampled_reports.reports()]
-                == [r.uid for r in plain_reports.reports()])
+        for kind, program in (("tsan", "memcached"), ("ski", "linux_proc")):
+            spec = spec_by_name(program)
+            plain = run_seed(
+                spec.build(), 0, kind=kind, entry=spec.entry,
+                inputs=spec.workload_inputs, max_steps=spec.max_steps)
+            sampled = run_seed(
+                spec.build(), 0, kind=kind, entry=spec.entry,
+                inputs=spec.workload_inputs, max_steps=spec.max_steps,
+                profile=97)
+            assert plain.profile is None
+            assert sampled.profile.samples == sampled.result.steps // 97
+            assert sampled.result.steps == plain.result.steps, kind
+            assert ([r.uid for r in sampled.reports.reports()]
+                    == [r.uid for r in plain.reports.reports()]), kind
 
     def test_distinct_seeds_can_produce_distinct_profiles(self):
         profiles = {profile_seed(seed=seed)[0].collapsed()
@@ -116,8 +119,9 @@ class TestSamplingProfiler:
     def test_default_interval_is_used_when_unspecified(self):
         spec = spec_by_name("memcached")
         out = []
-        _, result, _ = run_tsan_seed(
-            spec.build(), 0, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps, profile_out=out)
+        _, stats = run_seeds(
+            "tsan", spec.build(), [0], entry=spec.entry,
+            inputs=spec.workload_inputs, max_steps=spec.max_steps,
+            profile_out=out)
         assert out[0].interval == DEFAULT_SAMPLE_INTERVAL
-        assert out[0].samples == result.steps // DEFAULT_SAMPLE_INTERVAL
+        assert out[0].samples == stats[0].steps // DEFAULT_SAMPLE_INTERVAL

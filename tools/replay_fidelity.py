@@ -36,9 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.apps.registry import all_specs, spec_by_name
-from repro.owl.batch import (
-    _detect_item_key, _detect_payload, _record_item_key, run_seeds_parallel,
-)
+from repro.owl.batch import _detect_payload, _item_key, run_seeds_parallel
 from repro.owl.cache import ResultCache
 from repro.owl.replay import _spec_world, record_program
 from repro.runtime.diffcheck import compare_fingerprints
@@ -120,7 +118,7 @@ def check_entry_sizes(spec, seeds, cache_root):
     run_seeds_parallel(
         spec.detector, module, spec.module_factory, entry=spec.entry,
         inputs=spec.workload_inputs, seeds=seeds, max_steps=spec.max_steps,
-        jobs=1, cache=cache, record=True, logs_out=logs,
+        jobs=1, cache=cache, logs_out=logs,
     )
     pairs = []
     for seed in seeds:
@@ -128,9 +126,9 @@ def check_entry_sizes(spec, seeds, cache_root):
             spec.detector, spec.module_factory, seed, spec.entry,
             spec.workload_inputs, None, spec.max_steps, 3, ())
         detect_path = cache._path(
-            "detect", _detect_item_key(cache, module, payload))
+            "detect", _item_key(cache, module, payload))
         record_path = cache._path(
-            "record", _record_item_key(cache, module, payload))
+            "record", _item_key(cache, module, payload, stage="record"))
         pairs.append((os.path.getsize(record_path),
                       os.path.getsize(detect_path)))
     return pairs, len(logs)
