@@ -301,7 +301,7 @@ def run_seed(
     coverage: bool = False,
     record: bool = False,
     profile: Optional[int] = None,
-    fuse=False,
+    fuse=None,
 ) -> SeedRun:
     """One program execution under one schedule, into a fresh report set.
 
@@ -320,9 +320,9 @@ def run_seed(
     :class:`repro.runtime.profiler.SeedProfile` sampled every ``profile``
     scheduler decisions.  Each is a pure-delegation scheduler wrapper,
     installed only when asked for, so the schedule and the reports never
-    change.  ``fuse`` (a bool, or a shared
-    :class:`repro.runtime.fuse.FuseEngine` to amortize compiles across a
-    sweep) turns on superinstruction fusion; detectors observe
+    change.  ``fuse`` (a :class:`repro.runtime.fuse.FuseEngine`, shared
+    across a sweep to amortize compiles) is attached when the schedule can
+    grant no-preempt windows (PCT without a wrapper); detectors observe
     bit-identical events either way.
     """
     from repro.runtime.spans import maybe_span
@@ -399,7 +399,7 @@ def run_seeds(
     profile_out: Optional[List] = None,
     profile_interval: Optional[int] = None,
     feed=None,
-    fuse=False,
+    fuse=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """The serial sweep: :func:`run_seed` per seed, merged in seed order.
 
@@ -408,14 +408,15 @@ def run_seeds(
     as the pooled :func:`repro.owl.batch.run_seeds_parallel`.
     ``coverage_out``/``profile_out`` receive one coverage/profile per seed
     in seed order; ``feed`` (an :class:`repro.owl.stream.EventFeed`) one
-    ``seed_done`` event per seed.  A ``fuse`` request shares one
-    :class:`repro.runtime.fuse.FuseEngine` across the sweep: every seed
-    runs the same module, so compiled superinstructions amortize.
+    ``seed_done`` event per seed.  Every seed shares one
+    :class:`repro.runtime.fuse.FuseEngine` (``fuse``, or a fresh one):
+    the seeds run the same module, so compiled superinstructions
+    amortize.
     """
-    if fuse:
+    if fuse is None:
         from repro.runtime.fuse import FuseEngine
 
-        fuse = fuse if isinstance(fuse, FuseEngine) else FuseEngine()
+        fuse = FuseEngine()
     profile = profile_stride(profile_out, profile_interval)
     reports = ReportSet()
     stats: List[RunStats] = []

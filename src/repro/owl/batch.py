@@ -470,7 +470,7 @@ def _detect_worker(payload: Dict) -> Dict:
         max_steps=payload["max_steps"], scheduler=payload["scheduler"],
         depth=payload["depth"], entry_args=payload["entry_args"],
         tracer=tracer, coverage=True, record=bool(payload.get("record")),
-        profile=payload.get("profile"), fuse=bool(payload.get("fuse")),
+        profile=payload.get("profile"),
     )
     output = {
         "seed": run.seed,
@@ -492,8 +492,7 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
                     entry_args: Sequence[int],
                     scheduler: Optional[str] = None,
                     record: bool = False,
-                    profile: Optional[int] = None,
-                    fuse: bool = False) -> Dict:
+                    profile: Optional[int] = None) -> Dict:
     payload = {
         "kind": kind,
         "source": source,
@@ -513,13 +512,6 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
         # carries the sample aggregate, so it must not be answered from
         # (or overwrite) an unprofiled seed's entry.
         payload["profile"] = int(profile)
-    if fuse:
-        # Also part of the cache key on purpose: fused results are
-        # bit-identical by construction (the diff oracle enforces it),
-        # but keeping the entries separate means a divergence hunt can
-        # compare cold fused vs cold stepwise runs instead of silently
-        # reading one mode's cache from the other's sweep.
-        payload["fuse"] = True
     return payload
 
 
@@ -564,7 +556,6 @@ def run_seeds_parallel(
     profile_out: Optional[List] = None,
     profile_interval: Optional[int] = None,
     feed=None,
-    fuse: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Fan one program's seeds out over worker processes.
 
@@ -612,8 +603,7 @@ def run_seeds_parallel(
     payloads = [
         _detect_payload(kind, module_source, seed, entry, inputs,
                         annotations_payload, max_steps, depth, entry_args,
-                        scheduler=scheduler, record=record, profile=profile,
-                        fuse=fuse)
+                        scheduler=scheduler, record=record, profile=profile)
         for seed in seeds
     ]
     keys = (
@@ -700,7 +690,6 @@ def run_detector_batch(
     profile_out: Optional[List] = None,
     profile_interval: Optional[int] = None,
     feed=None,
-    fuse: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """The spec's front-end detector over its seeds, via the worker path.
 
@@ -715,7 +704,7 @@ def run_detector_batch(
         annotations=annotations, max_steps=spec.max_steps, jobs=jobs,
         executor=executor, tracer=tracer, cache=cache, policy=policy,
         profile_out=profile_out, profile_interval=profile_interval,
-        feed=feed, fuse=fuse,
+        feed=feed,
     )
 
 

@@ -373,10 +373,9 @@ def explore_seeds(
     witness replay of that wave (specs with an ``initial_world``).
 
     Exploration never fuses: every wave tracks interleaving coverage
-    through the :class:`SwitchTracker` scheduler wrapper, which forces
-    stepwise execution (``run_length == 1``) so context-switch signatures
-    stay byte-identical — fusing would only add plan-compilation overhead
-    with no fused runs.
+    through the :class:`SwitchTracker` scheduler wrapper, which keeps the
+    base ``run_length``, so no VM attaches a fuse engine and every
+    decision reaches the tracker.
     """
     explore = explore if explore is not None else ExplorePolicy()
     ladder = explore.ladder_for(kind, depth)

@@ -37,7 +37,7 @@ def run_detector(
     profile_out: Optional[List] = None,
     profile_interval: Optional[int] = None,
     feed=None,
-    fuse: bool = False,
+    fuse=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Run the spec's front-end detector over its configured schedules.
 
@@ -64,10 +64,8 @@ def run_detector(
     ``detect_seed`` span per execution; ``profile_out``/``profile_interval``
     sample every live seed (:mod:`repro.runtime.profiler`); ``feed`` (an
     :class:`repro.owl.stream.EventFeed`) receives one ``seed_done`` event
-    per live seed.  ``fuse`` (a bool or a shared
-    :class:`repro.runtime.fuse.FuseEngine`) turns on superinstruction
-    fusion for fixed sweeps; the detector observes bit-identical events,
-    so only steps/s moves.
+    per live seed.  ``fuse`` (a :class:`repro.runtime.fuse.FuseEngine`)
+    is the engine the serial sweep shares across its seeds.
     """
     if replay is not None:
         return replay.run_detector(annotations=annotations, tracer=tracer)
@@ -86,7 +84,7 @@ def run_detector(
             spec, annotations=annotations, jobs=jobs, executor=executor,
             tracer=tracer, cache=cache, policy=policy,
             profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=bool(fuse),
+            feed=feed,
         )
     return run_seeds(
         spec.detector, spec.build(), spec.detect_seeds, entry=spec.entry,

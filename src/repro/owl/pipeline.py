@@ -221,16 +221,14 @@ class OwlPipeline:
     disposition.  Mutually exclusive with ``replay``; composes with an
     explicit ``explore`` policy (or creates a default one).
 
-    ``fuse=True`` runs both detector stages with superinstruction fusion
-    (:mod:`repro.runtime.fuse`): one in-process
-    :class:`~repro.runtime.fuse.FuseEngine` is shared by every serial
-    detector execution of the run, so compiled blocks amortize across
-    seeds and stages.  Fusion never changes results — schedules, events,
-    reports, coverage, logs and the Table-3 ``parity_dict`` are
-    bit-identical with it on or off, at any job count — so only steps/s
-    moves; the engine's counters land in the schema-8 metrics ``fuse``
-    block and a ``fuse.enabled`` telemetry counter.  Ignored under
-    ``replay`` (scripted decisions force stepwise execution anyway).
+    Every run hands one :class:`~repro.runtime.fuse.FuseEngine` to both
+    detector stages.  The serial sweep's VMs attach it when their
+    scheduler can grant no-preempt windows (PCT), fusing hot blocks into
+    superinstructions (:mod:`repro.runtime.fuse`) so compiles amortize
+    across seeds and stages.  Fusion never changes results — schedules,
+    events, reports and the Table-3 ``parity_dict`` are bit-identical to
+    stepwise execution — so only steps/s moves; when the engine ran, its
+    counters land in the schema-8 metrics ``fuse`` block.
 
     Every run assembles a deterministic **telemetry snapshot**
     (:mod:`repro.runtime.telemetry`): stage/work counters, per-seed step
@@ -262,7 +260,6 @@ class OwlPipeline:
         predict=None,
         profile: Optional[int] = None,
         feed=None,
-        fuse: bool = False,
     ):
         if explore is not None and replay is not None:
             raise ValueError(
@@ -294,14 +291,12 @@ class OwlPipeline:
         self.replay = replay
         self.profile = int(profile) if profile else None
         self.feed = feed
-        self.fuse = bool(fuse)
         #: Per-run telemetry registry (rebuilt at the top of :meth:`run`).
         self._registry = None
         self._profiles: Optional[List] = None
-        #: Per-run fuse engine (rebuilt at the top of :meth:`run`): shared
-        #: across every in-process detector execution so compiled
-        #: superinstructions amortize over the whole run; pooled workers
-        #: fuse with their own per-seed engines.
+        #: Per-run fuse engine (rebuilt at the top of :meth:`run`), shared
+        #: by both detector stages so compiled superinstructions amortize
+        #: over the whole run.
         self._fuse_engine = None
 
     # ------------------------------------------------------------------
@@ -329,12 +324,9 @@ class OwlPipeline:
 
         self._registry = MetricsRegistry()
         self._profiles = [] if self.profile and self.replay is None else None
-        self._fuse_engine = None
-        if self.fuse and self.replay is None:
-            from repro.runtime.fuse import FuseEngine
+        from repro.runtime.fuse import FuseEngine
 
-            self._fuse_engine = FuseEngine()
-        self._fuse_stages = 0
+        self._fuse_engine = FuseEngine()
         if self.feed is not None:
             self.feed.run_begin(
                 self.spec.name, jobs,
@@ -386,7 +378,7 @@ class OwlPipeline:
             result.metrics.batch = self.policy.counters()
         if self.replay is not None:
             result.metrics.replay = self.replay.metrics_block()
-        if self._fuse_engine is not None:
+        if self._fuse_engine.attached:
             result.metrics.fuse = self._fuse_block(result)
         self._assemble_telemetry(result)
         if self.journal is not None:
@@ -451,14 +443,6 @@ class OwlPipeline:
             registry.counter("predict.witnessed").inc(counters["witnessed"])
             registry.counter("predict.unwitnessed").inc(
                 counters["unwitnessed"])
-        if self._fuse_engine is not None:
-            # Only job-count-invariant facts go in the registry: the
-            # engine's execution counters depend on whether seeds shared
-            # one in-process engine (jobs=1) or per-worker ones (jobs=N),
-            # so they live in the schema-8 metrics ``fuse`` block, which
-            # is observational like steps/s.
-            registry.counter("fuse.enabled").inc(1)
-            registry.counter("fuse.stages_requested").inc(self._fuse_stages)
         if self.cache is not None:
             registry.merge_snapshot(self.cache.registry.snapshot())
         if self.policy is not None:
@@ -478,11 +462,9 @@ class OwlPipeline:
         """The schema-8 metrics ``fuse`` block.
 
         Observational, like steps/s: the counters describe the pipeline's
-        in-process engine, which every serial detector execution shared.
-        Pooled workers (jobs > 1) fuse with their own per-seed engines, so
-        their compiles and fused steps are not visible here — the share
-        then under-reports, which is fine for a perf observation (the
-        correctness story is the diff oracle's, not this block's).
+        engine, which only the serial sweep's VMs attach — so the block
+        appears on jobs=1 runs of a PCT spec without a cache, exploration
+        or replay, and is absent everywhere else.
         """
         engine = self._fuse_engine
         counters = engine.counters()
@@ -492,7 +474,6 @@ class OwlPipeline:
             if stage.name in ("detect", "schedule_reduction")
         )
         return {
-            "enabled": True,
             "compiled_blocks": counters["compiled"],
             "fused_runs": counters["fused_runs"],
             "fused_steps": fused_steps,
@@ -553,14 +534,12 @@ class OwlPipeline:
     def _run_detector(self, result: PipelineResult, jobs: int, executor,
                       annotations: Optional[AnnotationSet] = None):
         """One detector sweep with this pipeline's options."""
-        if self.replay is None and self._fuse_engine is not None:
-            self._fuse_stages += 1
         return run_detector(
             self.spec, annotations=annotations, jobs=jobs, executor=executor,
             tracer=result.spans, cache=self.cache, policy=self.policy,
             explore=self.explore, replay=self.replay,
             profile_out=self._profiles, profile_interval=self.profile,
-            feed=self.feed, fuse=self._fuse_engine or False,
+            feed=self.feed, fuse=self._fuse_engine,
         )
 
     def _observe_seed_stats(self, stats) -> None:

@@ -17,6 +17,11 @@ in everything the rest of OWL can observe:
 - the race-report sets a detector derives from the trace, and
 - the pipeline's Table-3 counters (``StageCounters.parity_dict()``).
 
+The report-set and counter checks run the spec's own detector sweep, so on
+a PCT spec (the SKI kernel) the optimized leg executes fused
+superinstructions (:mod:`repro.runtime.fuse`) while the reference leg
+never does.
+
 Both configurations share seeds and schedulers, so any semantic drift in an
 optimization shows up as a first-divergence record rather than a silently
 different race report three stages later.  ``tools/diff_oracle.py`` drives
@@ -182,16 +187,8 @@ def compare_fingerprints(reference: ExecutionFingerprint,
 
 
 def fingerprint_run(spec, seed: int, reference: bool,
-                    max_steps: Optional[int] = None,
-                    fuse=False) -> ExecutionFingerprint:
-    """Execute ``spec`` once under ``RandomScheduler(seed)`` and record it.
-
-    ``fuse`` truthy runs the optimized VM with superinstruction fusion
-    (:mod:`repro.runtime.fuse`) — the oracle's third mode; ``reference``
-    and ``fuse`` are mutually exclusive.  Pass a shared
-    :class:`~repro.runtime.fuse.FuseEngine` instead of ``True`` to amortize
-    block compiles across a seed sweep (what ``diff_program`` does).
-    """
+                    max_steps: Optional[int] = None) -> ExecutionFingerprint:
+    """Execute ``spec`` once under ``RandomScheduler(seed)`` and record it."""
     vm = VM(
         spec.build(),
         scheduler=RandomScheduler(seed),
@@ -200,7 +197,6 @@ def fingerprint_run(spec, seed: int, reference: bool,
         max_steps=max_steps or spec.max_steps,
         seed=seed,
         reference=reference,
-        fuse=fuse,
     )
     recorder = TraceRecorder()
     vm.add_observer(recorder)
@@ -211,8 +207,7 @@ def fingerprint_run(spec, seed: int, reference: bool,
     return ExecutionFingerprint(
         program=spec.name,
         seed=seed,
-        mode=("reference" if reference else
-              "fused" if fuse else "optimized"),
+        mode="reference" if reference else "optimized",
         events=recorder.records,
         faults=[_normalize_fault(fault) for fault in vm.faults],
         recorded_faults=[_normalize_fault(fault)
@@ -237,12 +232,7 @@ def diff_seed(spec, seed: int,
 
 
 class ProgramDiff:
-    """Oracle outcome for one program over a seed sweep.
-
-    The sweep always compares reference vs optimized; with ``fuse=True``
-    (``diff_program``/``diff_reports``/``diff_counters``) a third, fused
-    leg runs per seed and is held bit-identical to the optimized one.
-    """
+    """Oracle outcome for one program over a seed sweep."""
 
     def __init__(self, program: str, seeds: Sequence[int]):
         self.program = program
@@ -252,18 +242,12 @@ class ProgramDiff:
         self.reference_seconds = 0.0
         self.optimized_steps = 0
         self.optimized_seconds = 0.0
-        #: fused-mode leg (populated only when the sweep ran with fuse)
-        self.fused = False
-        self.fused_steps = 0
-        self.fused_seconds = 0.0
         #: sorted race-report static keys per mode (diff_reports)
         self.reference_report_keys: Optional[List[Tuple[int, int]]] = None
         self.optimized_report_keys: Optional[List[Tuple[int, int]]] = None
-        self.fused_report_keys: Optional[List[Tuple[int, int]]] = None
         #: StageCounters.parity_dict() per mode (diff_counters)
         self.reference_counters: Optional[Dict] = None
         self.optimized_counters: Optional[Dict] = None
-        self.fused_counters: Optional[Dict] = None
 
     @property
     def identical(self) -> bool:
@@ -271,10 +255,6 @@ class ProgramDiff:
             not self.divergences
             and self.reference_report_keys == self.optimized_report_keys
             and self.reference_counters == self.optimized_counters
-            and (not self.fused or (
-                self.optimized_report_keys == self.fused_report_keys
-                and self.optimized_counters == self.fused_counters
-            ))
         )
 
     @property
@@ -295,21 +275,8 @@ class ProgramDiff:
             return 0.0
         return self.optimized_steps_per_second / self.reference_steps_per_second
 
-    @property
-    def fused_steps_per_second(self) -> float:
-        if self.fused_seconds <= 0.0:
-            return 0.0
-        return self.fused_steps / self.fused_seconds
-
-    @property
-    def fused_speedup(self) -> float:
-        """Fused over *optimized* steps/s — the superinstruction win."""
-        if self.optimized_steps_per_second <= 0.0:
-            return 0.0
-        return self.fused_steps_per_second / self.optimized_steps_per_second
-
     def as_dict(self) -> Dict:
-        payload = {
+        return {
             "program": self.program,
             "seeds": len(self.seeds),
             "divergences": len(self.divergences),
@@ -323,15 +290,6 @@ class ProgramDiff:
             "counters_identical":
                 self.reference_counters == self.optimized_counters,
         }
-        if self.fused:
-            payload["fused_steps_per_second"] = round(
-                self.fused_steps_per_second, 1)
-            payload["fused_speedup"] = round(self.fused_speedup, 3)
-            payload["fused_report_sets_identical"] = (
-                self.optimized_report_keys == self.fused_report_keys)
-            payload["fused_counters_identical"] = (
-                self.optimized_counters == self.fused_counters)
-        return payload
 
     def __repr__(self) -> str:
         return "<ProgramDiff %s seeds=%d divergences=%d speedup=%.2fx>" % (
@@ -341,24 +299,9 @@ class ProgramDiff:
 
 def diff_program(spec, seeds: Sequence[int] = range(10),
                  max_steps: Optional[int] = None,
-                 stop_on_divergence: bool = False,
-                 fuse: bool = False) -> ProgramDiff:
-    """Run the event-stream oracle for one program over a seed sweep.
-
-    With ``fuse=True`` each seed additionally runs a third, fused
-    execution (superinstructions on), which must be bit-identical to the
-    optimized one; fused divergences carry mode "fused" fingerprints.
-    """
+                 stop_on_divergence: bool = False) -> ProgramDiff:
+    """Run the event-stream oracle for one program over a seed sweep."""
     diff = ProgramDiff(spec.name, seeds)
-    diff.fused = bool(fuse)
-    engine = None
-    if fuse:
-        # One engine across the sweep: block compiles amortize exactly as
-        # they do in the serial detector sweep (run_seeds), so the fused
-        # steps/s reflect steady-state fusion rather than per-seed warmup.
-        from repro.runtime.fuse import FuseEngine
-
-        engine = FuseEngine()
     for seed in diff.seeds:
         divergence, reference, optimized = diff_seed(
             spec, seed, max_steps=max_steps)
@@ -370,16 +313,6 @@ def diff_program(spec, seeds: Sequence[int] = range(10),
             diff.divergences.append(divergence)
             if stop_on_divergence:
                 break
-        if fuse:
-            fused = fingerprint_run(spec, seed, reference=False,
-                                    max_steps=max_steps, fuse=engine)
-            diff.fused_steps += fused.steps
-            diff.fused_seconds += fused.wall_seconds
-            fused_divergence = compare_fingerprints(optimized, fused)
-            if fused_divergence is not None:
-                diff.divergences.append(fused_divergence)
-                if stop_on_divergence:
-                    break
     return diff
 
 
@@ -387,8 +320,7 @@ def _report_keys(reports) -> List[Tuple[int, int]]:
     return sorted(report.static_key for report in reports)
 
 
-def diff_reports(spec, diff: Optional[ProgramDiff] = None,
-                 fuse: bool = False) -> ProgramDiff:
+def diff_reports(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
     """Compare the race-report sets the spec's detector derives per mode."""
     from repro.owl.integration import run_detector
 
@@ -404,20 +336,10 @@ def diff_reports(spec, diff: Optional[ProgramDiff] = None,
             spec.name, None, "report_set", None,
             diff.reference_report_keys, diff.optimized_report_keys,
         ))
-    if fuse:
-        diff.fused = True
-        fused_reports, _ = run_detector(spec, fuse=True)
-        diff.fused_report_keys = _report_keys(fused_reports)
-        if diff.optimized_report_keys != diff.fused_report_keys:
-            diff.divergences.append(Divergence(
-                spec.name, None, "fused_report_set", None,
-                diff.optimized_report_keys, diff.fused_report_keys,
-            ))
     return diff
 
 
-def diff_counters(spec, diff: Optional[ProgramDiff] = None,
-                  fuse: bool = False) -> ProgramDiff:
+def diff_counters(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
     """Compare ``StageCounters.parity_dict()`` of a full pipeline run."""
     from repro.owl.pipeline import OwlPipeline
 
@@ -433,135 +355,4 @@ def diff_counters(spec, diff: Optional[ProgramDiff] = None,
             spec.name, None, "stage_counters", None,
             diff.reference_counters, diff.optimized_counters,
         ))
-    if fuse:
-        diff.fused = True
-        fused_result = OwlPipeline(spec, fuse=True).run()
-        diff.fused_counters = fused_result.counters.parity_dict()
-        if diff.optimized_counters != diff.fused_counters:
-            diff.divergences.append(Divergence(
-                spec.name, None, "fused_stage_counters", None,
-                diff.optimized_counters, diff.fused_counters,
-            ))
     return diff
-
-
-def diff_record_replay(spec, seeds: Sequence[int] = range(3),
-                       max_steps: Optional[int] = None) -> List[Divergence]:
-    """Assert the fuse flag is inert through the record/replay backbone.
-
-    Recording and replay schedulers force ``run_length`` to 1 (recording
-    must log one entry per decision; replay consumes one recorded decision
-    per step), so requesting fusion there must change nothing.  Each seed
-    is recorded twice — fuse off and fuse on — and the two
-    :class:`~repro.runtime.record.ScheduleLog` payloads plus recorded
-    fingerprints must match; the fuse-off log is then replayed both ways
-    and the replayed fingerprints must match too.  Returns every
-    divergence found (empty list = identical).
-    """
-    from repro.runtime.record import record_seed, replay_log
-
-    module = spec.build()
-    world = spec.initial_world
-    divergences: List[Divergence] = []
-    for seed in seeds:
-        runs = {}
-        for fuse in (False, True):
-            log, _result, fingerprint = record_seed(
-                module, seed, entry=spec.entry, inputs=spec.workload_inputs,
-                max_steps=max_steps or spec.max_steps,
-                scheduler=RandomScheduler(seed),
-                world=world() if world is not None else None,
-                program=spec.name, fingerprint=True, fuse=fuse,
-            )
-            runs[fuse] = (log, fingerprint)
-        log_off, recorded_off = runs[False]
-        log_on, recorded_on = runs[True]
-        if log_off.to_payload() != log_on.to_payload():
-            divergences.append(Divergence(
-                spec.name, seed, "recorded_schedule_log", None,
-                log_off.to_payload(), log_on.to_payload()))
-        divergence = compare_fingerprints(recorded_off, recorded_on)
-        if divergence is not None:
-            divergence.field = "recorded_" + divergence.field
-            divergences.append(divergence)
-        replayed = {}
-        for fuse in (False, True):
-            outcome = replay_log(
-                module, log_off, inputs=spec.workload_inputs,
-                world=world() if world is not None else None,
-                fingerprint=True, fuse=fuse,
-            )
-            if outcome.total_divergences or not outcome.faithful:
-                divergences.append(Divergence(
-                    spec.name, seed, "replay_faithfulness", None,
-                    "faithful replay",
-                    "fuse=%s: %d divergences" % (
-                        fuse, outcome.total_divergences)))
-            replayed[fuse] = outcome.fingerprint
-        divergence = compare_fingerprints(replayed[False], replayed[True])
-        if divergence is not None:
-            divergence.field = "replayed_" + divergence.field
-            divergences.append(divergence)
-    return divergences
-
-
-def benchmark_fused(spec, seeds: Sequence[int] = range(10),
-                    max_steps: Optional[int] = None,
-                    quantum: int = 50) -> Dict:
-    """Measure the fused-vs-optimized steps/s ratio where fusion can act.
-
-    ``RandomScheduler`` preempts geometrically (expected no-preempt run of
-    ``n/(n-1)`` with ``n`` runnable threads), so the oracle sweep's
-    ``fused_speedup`` is ~1.0x by construction — it proves parity, not
-    performance.  The speedup floor is therefore measured under
-    :class:`~repro.runtime.scheduler.RoundRobinScheduler`, whose quantum
-    gives ``run_length`` real no-preempt windows, with one shared
-    :class:`~repro.runtime.fuse.FuseEngine` so compiles amortize across
-    seeds exactly as they do in a detector sweep.
-    """
-    from repro.runtime.fuse import FuseEngine
-    from repro.runtime.scheduler import RoundRobinScheduler
-
-    seeds = list(seeds)
-    engine = FuseEngine()
-    # One module for every VM, exactly like the run_seeds sweep: a
-    # fresh build per seed would re-randomize addresses and invalidate the
-    # shared engine's plans on every attach.
-    module = spec.build()
-    totals = {"optimized": [0, 0.0], "fused": [0, 0.0]}
-    for mode, fuse in (("optimized", False), ("fused", True)):
-        for seed in seeds:
-            vm = VM(
-                module,
-                scheduler=RoundRobinScheduler(quantum=quantum),
-                world=(spec.initial_world()
-                       if spec.initial_world is not None else None),
-                inputs=spec.workload_inputs,
-                max_steps=max_steps or spec.max_steps,
-                seed=seed,
-                fuse=engine if fuse else False,
-            )
-            started = time.perf_counter()
-            vm.start(spec.entry)
-            result = vm.run()
-            totals[mode][0] += result.steps
-            totals[mode][1] += time.perf_counter() - started
-    optimized_sps = (totals["optimized"][0] / totals["optimized"][1]
-                     if totals["optimized"][1] > 0 else 0.0)
-    fused_sps = (totals["fused"][0] / totals["fused"][1]
-                 if totals["fused"][1] > 0 else 0.0)
-    counters = engine.counters()
-    fused_steps = totals["fused"][0]
-    return {
-        "program": spec.name,
-        "scheduler": "round_robin",
-        "quantum": quantum,
-        "seeds": len(seeds),
-        "optimized_steps_per_second": round(optimized_sps, 1),
-        "fused_steps_per_second": round(fused_sps, 1),
-        "fused_speedup": round(fused_sps / optimized_sps, 3)
-        if optimized_sps > 0 else 0.0,
-        "fused_step_share": round(
-            counters["fused_steps"] / fused_steps, 4) if fused_steps else 0.0,
-        "compiled_blocks": counters["compiled"],
-    }

@@ -14,8 +14,11 @@ Soundness contract (see also ``Scheduler.run_length``):
 - Fusion only spans steps the scheduler has *committed* not to preempt:
   the VM asks ``scheduler.run_length(thread, step, max_len)`` for a
   guaranteed no-preempt run length and fuses at most that many steps.
-  Schedulers that must observe every decision (record, replay, scripted,
-  coverage tracking, profiling) answer 1, which disables fusion.
+  A VM attaches an engine only when its scheduler's class overrides
+  ``Scheduler.run_length`` — only PCT does, granting the distance to its
+  next change point.  Random and round-robin schedules, and every
+  wrapper that must observe each decision (record, replay, scripted,
+  coverage tracking, profiling), run stepwise.
 - Only instructions that cannot block, spawn, exit or switch frames are
   fusible (no calls, no atomics — atomics emit SyncEvents that anchor
   happens-before edges and deserve their own step boundary anyway).
@@ -458,6 +461,11 @@ class FuseEngine:
             self._signature = (dict(signature[0]), dict(signature[1]))
         self._vm = vm
         return self
+
+    @property
+    def attached(self) -> bool:
+        """Whether any VM has attached this engine."""
+        return self._vm is not None
 
     def plan_for(self, thread) -> Optional[FusePlan]:
         """The compiled plan starting at the thread's program counter.

@@ -120,7 +120,7 @@ class VM:
         seed: int = 0,
         nonfatal_faults: frozenset = NONFATAL_FAULTS,
         reference: Optional[bool] = None,
-        fuse: bool = False,
+        fuse: Optional["FuseEngine"] = None,
     ):
         self.module = module
         self.scheduler = scheduler or RoundRobinScheduler()
@@ -133,23 +133,16 @@ class VM:
         self.memory = Memory(memoize=not self.reference)
         if self.reference:
             self.execute = self._execute_reference  # type: ignore[assignment]
-        #: fuse=True compiles hot straight-line runs into superinstructions
-        #: (:mod:`repro.runtime.fuse`); bounded per run by the scheduler's
-        #: ``run_length`` no-preempt guarantee, so schedules and events are
-        #: bit-identical with fusion on or off.  Passing a ``FuseEngine``
-        #: instance shares its plan cache across VMs of the same module
-        #: (the seed sweeps), amortizing compiles.  Reference mode forces
-        #: fusion off — the oracle's reference leg must stay the plain
-        #: loop.
-        self.fuse = bool(fuse) and not self.reference
-        if self.fuse:
-            from repro.runtime.fuse import FuseEngine
-
-            engine = fuse if isinstance(fuse, FuseEngine) else FuseEngine()
-            self.fuse_engine: Optional["FuseEngine"] = None
-        else:
-            engine = None
-            self.fuse_engine = None
+        #: A ``fuse`` engine (:mod:`repro.runtime.fuse`) compiles hot
+        #: straight-line runs into superinstructions, bounded per run by
+        #: the scheduler's ``run_length`` no-preempt guarantee, so
+        #: schedules and events are bit-identical to stepwise execution.
+        #: It is attached only when the scheduler's class overrides
+        #: ``Scheduler.run_length`` (it can promise windows longer than
+        #: one step) and never in reference mode, whose leg of the oracle
+        #: must stay the plain loop.  One engine shared across the VMs of
+        #: a sweep amortizes compiles.
+        self.fuse_engine: Optional["FuseEngine"] = None
         self.inputs: Dict = dict(inputs or {})
         self._input_cursors: Dict = {}
         self.max_steps = max_steps
@@ -179,10 +172,12 @@ class VM:
         self._global_addresses: Dict[str, int] = {}
         self._setup_code_addresses()
         self._setup_globals()
-        if engine is not None:
+        if (fuse is not None and not self.reference
+                and type(self.scheduler).run_length
+                is not Scheduler.run_length):
             # Attach after address setup: plans bake global/function
             # addresses and the engine validates them on every attach.
-            self.fuse_engine = engine.attach(self)
+            self.fuse_engine = fuse.attach(self)
 
     # ------------------------------------------------------------------
     # setup

@@ -11,7 +11,7 @@ item throughput (reports verified per second, seeds explored per second,
 Schema of the exported JSON (one file per program run)::
 
     {
-      "schema": 3,                  # bump on incompatible layout changes
+      "schema": 9,                  # bump on incompatible layout changes
       "program": "apache",          # ProgramSpec name
       "jobs": 4,                    # worker processes (1 = serial)
       "total_seconds": 12.3,
@@ -106,11 +106,11 @@ Schema of the exported JSON (one file per program run)::
         "pairs": [[[411, 873], "observed"], ...]
       },
       # schema 8, only when the run fused hot blocks into
-      # superinstructions (repro.runtime.fuse).  Observational, like
-      # steps/s: pooled workers fuse with their own engines, so only the
-      # in-process engine's counters appear here:
+      # superinstructions (repro.runtime.fuse): jobs=1 sweeps under a
+      # PCT schedule (the SKI kernel), without cache, exploration or
+      # replay.  Observational, like steps/s:
       "fuse": {
-        "enabled": true, "compiled_blocks": 305, "fused_runs": 13793,
+        "compiled_blocks": 305, "fused_runs": 13793,
         "fused_steps": 183937, "fused_step_share": 0.6551,
         "bailouts": 0, "invalidations": 0
       },
@@ -132,8 +132,9 @@ Schema of the exported JSON (one file per program run)::
 
 Schema 8 files are identical minus the ``repair`` block
 (:meth:`repro.owl.repair.RepairResult.metrics_block` of an ``owl fix``
-run); schema 7 files additionally lack the ``fuse`` block (and the
-``diff_oracle`` block's ``fused_*`` fields); schema 6 files additionally
+run); schema 7 files additionally lack the ``fuse`` block (older schema-8
+files may carry an ``"enabled"`` key there and ``fused_*`` fields in the
+``diff_oracle`` block, which nothing reads); schema 6 files additionally
 lack the ``predict`` block; schema 5 files additionally lack the
 ``telemetry`` block; schema 4 files further lack the ``replay`` block;
 schema 3 files further lack the ``diff_oracle`` block; schema 2 files
@@ -293,8 +294,7 @@ class PipelineMetrics:
         self.predict: Optional[Dict] = None
         #: ``OwlPipeline._fuse_block()`` of a superinstruction-fused run
         #: (schema 8): compiled blocks, fused-step share and bailouts of
-        #: the in-process engine.  Observational — pooled workers fuse
-        #: with per-seed engines invisible to this block.
+        #: the pipeline's engine, present only when a VM attached it.
         self.fuse: Optional[Dict] = None
         #: ``RepairResult.metrics_block()`` of an ``owl fix`` run
         #: (schema 9): per-target candidate/gate outcomes, emitted patch

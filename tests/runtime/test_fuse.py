@@ -5,8 +5,9 @@ Four layers:
 - unit tests for the two VM bugfixes (``_handle_idle`` clamping the sleeper
   fast-forward to the step budget; ``step_thread`` resetting ``blocked_arg``
   together with ``blocked_kind``),
-- unit tests for every scheduler's ``run_length`` no-preempt contract,
-  including the RandomScheduler's pending-draw and entropy-parity semantics,
+- unit tests for the ``run_length`` no-preempt contract (PCT grants the
+  distance to its next change point; every other scheduler keeps the base
+  length of 1, so a VM handed an engine never attaches it there),
 - unit tests for :class:`repro.runtime.fuse.FuseEngine` (hotness, plan
   caching, invalidation, attach signature validation, counters), and
 - hypothesis differential tests pinning ``_run_fast_loop`` ≡
@@ -139,7 +140,7 @@ def make_scheduler(kind: str, seed: int):
 
 
 def run_fingerprint(module: Module, scheduler, reference: bool = False,
-                    fuse=False, max_steps: int = 50_000):
+                    fuse=None, max_steps: int = 50_000):
     """Everything observable about one run, in comparable form."""
     vm = VM(module, scheduler=scheduler, max_steps=max_steps,
             reference=reference, fuse=fuse)
@@ -262,84 +263,6 @@ class TestRunLengthContract:
                      for s in range(step)]
         assert expanded == reference
 
-    def test_round_robin_commits_quantum(self):
-        scheduler = RoundRobinScheduler(quantum=5)
-        runnable = _threads(2)
-        first = scheduler.choose(runnable, 0)
-        assert scheduler.run_length(first, 0, 3) == 3
-        # 2 of the remaining 4 quantum steps were committed
-        assert scheduler._remaining == 2
-        assert scheduler.choose(runnable, 3) is first
-        assert scheduler.choose(runnable, 4) is first
-        # quantum exhausted: the rotation moves on
-        assert scheduler.choose(runnable, 5) is not first
-
-    def test_round_robin_caps_at_window(self):
-        scheduler = RoundRobinScheduler(quantum=50)
-        runnable = _threads(2)
-        chosen = scheduler.choose(runnable, 0)
-        assert scheduler.run_length(chosen, 0, 4) == 4
-
-    @given(st.integers(0, 10_000), st.integers(2, 3),
-           st.lists(st.integers(2, 9), min_size=1, max_size=20))
-    @settings(max_examples=60, deadline=None)
-    def test_random_entropy_parity(self, seed, n, windows):
-        """After the same number of decisions, the rng streams agree —
-        the schedule stays bit-identical past any fused region."""
-        runnable = _threads(n)
-        stepwise = RandomScheduler(seed)
-        fused = RandomScheduler(seed)
-        decisions = 0
-        for max_len in windows:
-            chosen = fused.choose(runnable, decisions)
-            decisions += fused.run_length(chosen, decisions, max_len)
-        for s in range(decisions):
-            stepwise.choose(runnable, s)
-        # drain any pending draw the way the VM would (the next choose)
-        if fused._pending is not None:
-            assert fused.choose(runnable, decisions) is not None
-            stepwise.choose(runnable, decisions)
-        assert fused._rng.getstate() == stepwise._rng.getstate()
-
-    def test_random_pending_draw_served_verbatim(self):
-        runnable = _threads(2)
-        scheduler = RandomScheduler(7)
-        chosen = scheduler.choose(runnable, 0)
-        length = scheduler.run_length(chosen, 0, 50)
-        if scheduler._pending is None:
-            pytest.skip("lookahead ran the full window for this seed")
-        pending = scheduler._pending
-        after = scheduler.choose(runnable, length)
-        assert after is runnable[pending]
-
-    def test_random_pending_detects_contract_violation(self):
-        runnable = _threads(2)
-        scheduler = RandomScheduler(7)
-        chosen = scheduler.choose(runnable, 0)
-        scheduler.run_length(chosen, 0, 50)
-        if scheduler._pending is None:
-            pytest.skip("lookahead ran the full window for this seed")
-        with pytest.raises(RuntimeError, match="no-preempt contract"):
-            scheduler.choose(_threads(3), 1)
-
-    def test_random_skips_lookahead_when_crowded(self):
-        runnable = _threads(4)
-        scheduler = RandomScheduler(0)
-        chosen = scheduler.choose(runnable, 0)
-        state = scheduler._rng.getstate()
-        assert scheduler.run_length(chosen, 0, 50) == 1
-        assert scheduler._rng.getstate() == state  # committed nothing
-
-    def test_random_single_thread_consumes_entropy(self):
-        runnable = _threads(1)
-        fused = RandomScheduler(11)
-        stepwise = RandomScheduler(11)
-        chosen = fused.choose(runnable, 0)
-        assert fused.run_length(chosen, 0, 6) == 6
-        for s in range(6):
-            stepwise.choose(runnable, s)
-        assert fused._rng.getstate() == stepwise._rng.getstate()
-
     def test_pct_stops_at_change_point_without_mutation(self):
         scheduler = PCTScheduler(seed=5, depth=3, expected_steps=100)
         runnable = _threads(2)
@@ -351,6 +274,10 @@ class TestRunLengthContract:
         assert scheduler._priorities == priorities
 
     def test_wrapper_schedulers_refuse_fusion(self):
+        from repro.runtime.coverage import SwitchTracker
+        from repro.runtime.profiler import SamplingProfiler
+        from repro.runtime.record import ScheduleRecorder
+
         runnable = _threads(2)
         for scheduler in (
             ScriptedScheduler([(1, 5)]),
@@ -359,24 +286,42 @@ class TestRunLengthContract:
         ):
             chosen = scheduler.choose(runnable, 0)
             assert scheduler.run_length(chosen, 0, 50) == 1
+        # A VM handed an engine attaches it only under a scheduler that
+        # can grant no-preempt windows: PCT, unwrapped.
+        module = build_counter_race(iterations=4)
+        pct = PCTScheduler(seed=0)
+        for scheduler in (
+            RandomScheduler(0),
+            RoundRobinScheduler(),
+            ScriptedScheduler([(1, 5)]),
+            RecordingScheduler(pct),
+            ReplayScheduler([1, 1, 2]),
+            ScheduleRecorder(pct),
+            SwitchTracker(pct),
+            SamplingProfiler(pct),
+        ):
+            vm = VM(module, scheduler=scheduler, fuse=FuseEngine())
+            assert vm.fuse_engine is None, type(scheduler).__name__
+        engine = FuseEngine()
+        assert VM(module, scheduler=pct, fuse=engine).fuse_engine is engine
 
 
 # ----------------------------------------------------------------------
 # FuseEngine
 
 class TestFuseEngine:
-    def _vm(self, module=None, fuse=True):
-        vm = VM(module or build_counter_race(iterations=4),
-                scheduler=RoundRobinScheduler(), max_steps=10_000, fuse=fuse)
-        return vm
+    def _vm(self, module=None, fuse=None):
+        return VM(module or build_counter_race(iterations=4),
+                  scheduler=PCTScheduler(), max_steps=10_000,
+                  fuse=fuse or FuseEngine())
 
     def test_vm_attaches_engine(self):
         vm = self._vm()
         assert isinstance(vm.fuse_engine, FuseEngine)
 
     def test_reference_mode_disables_fusion(self):
-        vm = VM(build_counter_race(), scheduler=RoundRobinScheduler(),
-                max_steps=10_000, reference=True, fuse=True)
+        vm = VM(build_counter_race(), scheduler=PCTScheduler(),
+                max_steps=10_000, reference=True, fuse=FuseEngine())
         assert vm.fuse_engine is None
 
     def test_sites_warm_before_compiling(self):
@@ -421,13 +366,13 @@ class TestFuseEngine:
         module = build_counter_race(iterations=4)
         engine = FuseEngine()
         for _ in range(2):
-            vm = VM(module, scheduler=RoundRobinScheduler(),
+            vm = VM(module, scheduler=PCTScheduler(),
                     max_steps=10_000, fuse=engine)
             vm.start("main")
             vm.run()
         assert engine.invalidations == 0
         first_sweep_compiles = engine.compiled
-        vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=10_000,
+        vm = VM(module, scheduler=PCTScheduler(), max_steps=10_000,
                 fuse=engine)
         vm.start("main")
         vm.run()
@@ -457,7 +402,7 @@ class TestDifferentialParity:
                                     reference=True)
         fast = run_fingerprint(module, make_scheduler(kind, seed))
         fused = run_fingerprint(module, make_scheduler(kind, seed),
-                                fuse=True)
+                                fuse=FuseEngine())
         assert fast == reference
         assert fused == reference
 
@@ -465,10 +410,10 @@ class TestDifferentialParity:
     @settings(max_examples=20, deadline=None)
     def test_scheduler_rng_state_matches_after_fused_run(self, seed):
         module = build_counter_race(iterations=4)
-        stepwise_scheduler = RandomScheduler(seed)
-        fused_scheduler = RandomScheduler(seed)
+        stepwise_scheduler = make_scheduler("pct", seed)
+        fused_scheduler = make_scheduler("pct", seed)
         stepwise = run_fingerprint(module, stepwise_scheduler)
-        fused = run_fingerprint(module, fused_scheduler, fuse=True)
+        fused = run_fingerprint(module, fused_scheduler, fuse=FuseEngine())
         assert fused == stepwise
         # the rng consumed exactly the same entropy: any continuation
         # (e.g. the verifier reusing the scheduler) stays identical
@@ -481,10 +426,10 @@ class TestDifferentialParity:
         """run_length windows clamp at the budget: a fused run never
         overshoots the limit the stepwise run stops at."""
         module = build_counter_race(iterations=50)
-        stepwise = run_fingerprint(module, RandomScheduler(seed),
+        stepwise = run_fingerprint(module, make_scheduler("pct", seed),
                                    max_steps=limit)
-        fused = run_fingerprint(module, RandomScheduler(seed), fuse=True,
-                                max_steps=limit)
+        fused = run_fingerprint(module, make_scheduler("pct", seed),
+                                fuse=FuseEngine(), max_steps=limit)
         assert fused == stepwise
         assert fused["steps"] <= limit
 
@@ -492,9 +437,9 @@ class TestDifferentialParity:
 class TestFusedBoundaries:
     def test_fault_bails_out_mid_run(self):
         module = build_divider(start=3)
-        stepwise = run_fingerprint(module, RoundRobinScheduler())
+        stepwise = run_fingerprint(module, PCTScheduler())
         engine = FuseEngine()
-        fused = run_fingerprint(module, RoundRobinScheduler(), fuse=engine)
+        fused = run_fingerprint(module, PCTScheduler(), fuse=engine)
         assert fused == stepwise
         assert stepwise["reason"] == ExecutionResult.FAULT
         assert stepwise["faults"][0][0] == FaultKind.DIVISION_BY_ZERO.value
@@ -504,9 +449,10 @@ class TestFusedBoundaries:
     def test_invalidation_between_runs_recompiles_identically(self):
         module = build_counter_race(iterations=4)
         engine = FuseEngine()
-        first = run_fingerprint(module, RandomScheduler(5), fuse=engine)
+        first = run_fingerprint(module, make_scheduler("pct", 5), fuse=engine)
         engine.invalidate()
-        second = run_fingerprint(module, RandomScheduler(5), fuse=engine)
+        second = run_fingerprint(module, make_scheduler("pct", 5),
+                                 fuse=engine)
         assert first == second
         assert engine.invalidations == 1
         assert engine.compiled >= 2  # recompiled after the flush
@@ -516,9 +462,9 @@ class TestFusedBoundaries:
         # fused sweep must wake it at exactly the same step
         module = build_sleeper_contention()
         for seed in range(5):
-            stepwise = run_fingerprint(module, RoundRobinScheduler())
-            fused = run_fingerprint(module, RoundRobinScheduler(),
-                                    fuse=True)
+            stepwise = run_fingerprint(module, make_scheduler("pct", seed))
+            fused = run_fingerprint(module, make_scheduler("pct", seed),
+                                    fuse=FuseEngine())
             assert fused == stepwise
 
     def test_debugger_disables_fusion(self):
@@ -526,8 +472,8 @@ class TestFusedBoundaries:
         from repro.runtime.debugger import Debugger
 
         module = build_counter_race(iterations=4)
-        vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=10_000,
-                fuse=True)
+        vm = VM(module, scheduler=PCTScheduler(), max_steps=10_000,
+                fuse=FuseEngine())
         debugger = Debugger(vm)
         worker = module.get_function("worker")
         load = next(instruction for block in worker.blocks

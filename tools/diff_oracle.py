@@ -8,24 +8,17 @@ stream (thread/step/address/size/value/call stack/variable), same fault
 lists, same race-report sets and, with ``--counters``, same
 ``StageCounters.parity_dict()`` from a full pipeline run.  While doing so
 it measures reference vs optimized interpreter throughput and writes the
-comparison into the schema-4 ``diff_oracle`` metrics block.
-
-With ``--fuse`` a third, fused execution (superinstructions on — see
-:mod:`repro.runtime.fuse`) joins every sweep and must be bit-identical to
-the optimized one; the record/replay backbone is additionally checked to
-be byte-identical with the flag on and off.  ``--fuse-bench`` measures
-the fused-vs-optimized steps/s ratio under a round-robin scheduler (where
-``run_length`` has real no-preempt windows — the oracle's RandomScheduler
-preempts geometrically, so its ``fused_speedup`` proves parity, not
-performance) and ``--fuse-floor`` turns that into a gate.
+comparison into the schema-4 ``diff_oracle`` metrics block.  On a PCT
+spec such as ``linux_proc`` the optimized leg of ``--counters`` (and of the
+report-set check) executes fused superinstructions, exactly as the
+pipeline does, so it also holds fusion bit-identical to the reference VM.
 
 Usage::
 
     PYTHONPATH=src python tools/diff_oracle.py                # all apps, 10 seeds
-    PYTHONPATH=src python tools/diff_oracle.py --programs memcached apache_log \\
-        --seeds 10 --counters --fuse --metrics-out benchmarks/out
-    PYTHONPATH=src python tools/diff_oracle.py --programs memcached \\
-        --fuse-bench --fuse-floor 1.3
+    PYTHONPATH=src python tools/diff_oracle.py \\
+        --programs memcached apache_log linux_proc \\
+        --seeds 10 --counters --metrics-out benchmarks/out
 
 Exit status 0 when every program is divergence-free, 1 otherwise (the
 first divergence per program is printed with both sides of the mismatch).
@@ -39,13 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.apps.registry import all_specs, spec_by_name
-from repro.runtime.diffcheck import (
-    benchmark_fused,
-    diff_counters,
-    diff_program,
-    diff_record_replay,
-    diff_reports,
-)
+from repro.runtime.diffcheck import diff_counters, diff_program, diff_reports
 from repro.runtime.metrics import PipelineMetrics, RunStats
 
 
@@ -70,38 +57,19 @@ def parse_args(argv):
     parser.add_argument(
         "--stop-on-divergence", action="store_true",
         help="stop a program's seed sweep at its first divergence")
-    parser.add_argument(
-        "--fuse", action="store_true",
-        help="also run every sweep a third time with superinstruction "
-             "fusion on, assert it is bit-identical to the optimized run, "
-             "and assert record/replay logs and fingerprints are identical "
-             "with the flag on and off")
-    parser.add_argument(
-        "--fuse-bench", action="store_true",
-        help="measure fused vs optimized steps/s under a round-robin "
-             "scheduler with a shared fuse engine (the configuration "
-             "fusion is designed for)")
-    parser.add_argument(
-        "--fuse-floor", type=float, default=None, metavar="X",
-        help="with --fuse-bench, fail any program whose fused speedup "
-             "falls below X")
     return parser.parse_args(argv)
 
 
 def check_program(spec, args):
     diff = diff_program(spec, seeds=range(args.seeds),
-                        stop_on_divergence=args.stop_on_divergence,
-                        fuse=args.fuse)
-    diff = diff_reports(spec, diff, fuse=args.fuse)
+                        stop_on_divergence=args.stop_on_divergence)
+    diff = diff_reports(spec, diff)
     if args.counters:
-        diff = diff_counters(spec, diff, fuse=args.fuse)
-    if args.fuse:
-        diff.divergences.extend(diff_record_replay(
-            spec, seeds=range(min(args.seeds, 3))))
+        diff = diff_counters(spec, diff)
     return diff
 
 
-def save_metrics(diff, out_dir, bench=None):
+def save_metrics(diff, out_dir):
     metrics = PipelineMetrics(diff.program, jobs=1)
     with metrics.stage("reference_execute", unit="seeds") as stage:
         stage.items = len(diff.seeds)
@@ -119,8 +87,6 @@ def save_metrics(diff, out_dir, bench=None):
     metrics.stages[1].wall_seconds = diff.optimized_seconds
     metrics.total_seconds = diff.reference_seconds + diff.optimized_seconds
     metrics.diff_oracle = diff.as_dict()
-    if bench is not None:
-        metrics.diff_oracle["fused_bench"] = bench
     path = os.path.join(out_dir, "metrics_diffcheck_%s.json" % diff.program)
     return metrics.save(path)
 
@@ -135,35 +101,18 @@ def main(argv=None):
     for spec in specs:
         diff = check_program(spec, args)
         verdict = "identical" if diff.identical else "DIVERGED"
-        fused_note = ""
-        if args.fuse:
-            fused_note = "  fused %10.0f steps/s" % (
-                diff.fused_steps_per_second)
-        print("%-14s seeds=%d  ref %10.0f steps/s  opt %10.0f steps/s%s  "
+        print("%-14s seeds=%d  ref %10.0f steps/s  opt %10.0f steps/s  "
               "speedup %.2fx  %s" % (
                   diff.program, len(diff.seeds),
                   diff.reference_steps_per_second,
-                  diff.optimized_steps_per_second, fused_note,
+                  diff.optimized_steps_per_second,
                   diff.speedup, verdict))
         for divergence in diff.divergences:
             print("  " + divergence.describe().replace("\n", "\n  "))
         if not diff.identical:
             failures += 1
-        bench = None
-        if args.fuse_bench:
-            bench = benchmark_fused(spec, seeds=range(args.seeds))
-            print("  fuse bench: %.2fx over optimized (round-robin, "
-                  "%d%% fused steps, %d blocks)" % (
-                      bench["fused_speedup"],
-                      round(bench["fused_step_share"] * 100),
-                      bench["compiled_blocks"]))
-            if (args.fuse_floor is not None
-                    and bench["fused_speedup"] < args.fuse_floor):
-                print("  FUSE FLOOR VIOLATED: %.3fx < %.2fx" % (
-                    bench["fused_speedup"], args.fuse_floor))
-                failures += 1
         if args.metrics_out:
-            path = save_metrics(diff, args.metrics_out, bench=bench)
+            path = save_metrics(diff, args.metrics_out)
             print("  metrics -> %s" % path)
     if failures:
         print("FAIL: %d program(s) diverged" % failures)
