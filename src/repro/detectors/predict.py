@@ -92,7 +92,8 @@ class PredictPolicy:
       marks every non-observed prediction unwitnessed.
     - ``max_pairs_per_static`` — closure attempts per static instruction
       pair before giving up on it (different concrete event pairs of the
-      same static pair can differ in feasibility).
+      same static pair can differ in feasibility).  Pairs the HB detector
+      observed on the trace are exempt from the cap.
     - ``max_closures`` — global closure budget per trace.
     """
 
@@ -814,7 +815,12 @@ def predict_from_log(
                 if key not in seen_pairs:
                     seen_pairs.add(key)
                     counters["candidate_pairs"] += 1
-                if attempts.get(key, 0) >= policy.max_pairs_per_static:
+                # An observed pair is HB-unordered on this very trace:
+                # keep trying its thread pairings past the cap, or
+                # ``predicted ⊇ observed`` fails when the racing pairing
+                # comes after max_pairs_per_static infeasible ones.
+                if (attempts.get(key, 0) >= policy.max_pairs_per_static
+                        and key not in observed_keys):
                     continue
                 if counters["closures"] >= policy.max_closures:
                     counters["truncated_pairs"] += 1

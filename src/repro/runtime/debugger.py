@@ -13,7 +13,7 @@ vulnerability verifier drive it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.ir.instructions import (
     AtomicRMW,
@@ -87,11 +87,18 @@ class PendingAccess:
 
 
 class Debugger:
-    """Owns the VM's breakpoints and halted-thread bookkeeping."""
+    """Owns the VM's breakpoints and halted-thread bookkeeping.
+
+    Constructing one attaches it to ``vm``; attach before calling
+    ``vm.run``.  :attr:`instructions` is the set of instructions a
+    breakpoint sits on: the VM consults :meth:`check` only when the
+    scheduled thread is at one of them.
+    """
 
     def __init__(self, vm):
         self.vm = vm
         self.breakpoints: List[Breakpoint] = []
+        self.instructions: Set[Instruction] = set()
         self.last_hit: Optional[Tuple[ThreadContext, Breakpoint]] = None
         vm.debugger = self
 
@@ -102,14 +109,20 @@ class Debugger:
                        thread_filter: Optional[Union[int, str]] = None) -> Breakpoint:
         breakpoint = Breakpoint(instruction, thread_filter)
         self.breakpoints.append(breakpoint)
+        self.instructions.add(instruction)
         return breakpoint
 
     def remove_breakpoint(self, breakpoint: Breakpoint) -> None:
         if breakpoint in self.breakpoints:
             self.breakpoints.remove(breakpoint)
+            if not any(other.instruction is breakpoint.instruction
+                       for other in self.breakpoints):
+                self.instructions.discard(breakpoint.instruction)
 
     def clear(self) -> None:
         self.breakpoints = []
+        # In place: a running VM loop holds this very set.
+        self.instructions.clear()
 
     def check(self, thread: ThreadContext, instruction: Instruction) -> bool:
         """VM hook: should ``thread`` halt before executing ``instruction``?"""
@@ -141,8 +154,7 @@ class Debugger:
             for breakpoint in self.breakpoints:
                 if breakpoint.enabled and breakpoint.instruction is instruction:
                     breakpoint.skip_once(thread.thread_id)
-        thread.state = ThreadState.RUNNABLE
-        self.vm._halted_count -= 1
+        self.vm._resume_thread(thread)
 
     def release_one(self) -> Optional[ThreadContext]:
         """Livelock resolution: temporarily release one triggered breakpoint.

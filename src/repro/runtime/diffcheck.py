@@ -14,8 +14,9 @@ in everything the rest of OWL can observe:
   alloc/free and external-call events),
 - the fault list (including :attr:`Memory.recorded_faults`),
 - the execution result (reason, step count, exit code),
-- the race-report sets a detector derives from the trace, and
-- the pipeline's Table-3 counters (``StageCounters.parity_dict()``).
+- the race-report sets a detector derives from the trace,
+- the pipeline's Table-3 counters (``StageCounters.parity_dict()``), and
+- the per-report outcomes of both debugger-driven verification stages.
 
 The report-set and counter checks run the spec's own detector sweep, so on
 a PCT spec (the SKI kernel) the optimized leg executes fused
@@ -248,6 +249,9 @@ class ProgramDiff:
         #: StageCounters.parity_dict() per mode (diff_counters)
         self.reference_counters: Optional[Dict] = None
         self.optimized_counters: Optional[Dict] = None
+        #: verification_outcomes() per mode (diff_counters)
+        self.reference_verifications: Optional[Dict] = None
+        self.optimized_verifications: Optional[Dict] = None
 
     @property
     def identical(self) -> bool:
@@ -255,6 +259,7 @@ class ProgramDiff:
             not self.divergences
             and self.reference_report_keys == self.optimized_report_keys
             and self.reference_counters == self.optimized_counters
+            and self.reference_verifications == self.optimized_verifications
         )
 
     @property
@@ -289,6 +294,8 @@ class ProgramDiff:
                 self.reference_report_keys == self.optimized_report_keys,
             "counters_identical":
                 self.reference_counters == self.optimized_counters,
+            "verifications_identical":
+                self.reference_verifications == self.optimized_verifications,
         }
 
     def __repr__(self) -> str:
@@ -339,8 +346,37 @@ def diff_reports(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
     return diff
 
 
+def verification_outcomes(result) -> Dict[str, List[Tuple]]:
+    """Per-report verdicts of a pipeline run's two verification stages.
+
+    ``race``: one ``(uid, verified, runs_used, livelocks_resolved, hints)``
+    per race report; ``vulnerability``: one ``(site, site_reached,
+    attack_realized, runs_used, fault kinds)`` per vulnerability.  Both
+    stages drive the VM through the debugger, so these pin the breakpoint,
+    halt and resume path that the report sets and counters only summarize.
+    """
+    return {
+        "race": [
+            (verification.report.uid, verification.verified,
+             verification.runs_used, verification.livelocks_resolved,
+             verification.hints.describe()
+             if verification.hints is not None else None)
+            for verification in result.verifications
+        ],
+        "vulnerability": [
+            (str(attack.vulnerability.site.location),
+             attack.verification.site_reached,
+             attack.verification.attack_realized,
+             attack.verification.runs_used,
+             tuple(kind.value for kind in attack.verification.fault_kinds))
+            for attack in result.attacks
+        ],
+    }
+
+
 def diff_counters(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
-    """Compare ``StageCounters.parity_dict()`` of a full pipeline run."""
+    """Compare ``StageCounters.parity_dict()`` and the verification
+    outcomes (:func:`verification_outcomes`) of a full pipeline run."""
     from repro.owl.pipeline import OwlPipeline
 
     if diff is None:
@@ -355,4 +391,13 @@ def diff_counters(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
             spec.name, None, "stage_counters", None,
             diff.reference_counters, diff.optimized_counters,
         ))
+    diff.reference_verifications = verification_outcomes(reference_result)
+    diff.optimized_verifications = verification_outcomes(optimized_result)
+    for stage in ("race", "vulnerability"):
+        divergence = _first_list_divergence(
+            spec.name, None, "%s_verifications" % stage,
+            diff.reference_verifications[stage],
+            diff.optimized_verifications[stage])
+        if divergence is not None:
+            diff.divergences.append(divergence)
     return diff

@@ -146,7 +146,7 @@ def _checked_copy(vm, thread, call, dst: int, data: bytes) -> None:
     if not data:
         return
     block, fault = vm.memory.check_access(
-        dst, len(data), True, thread.thread_id, vm.step, thread.call_stack(),
+        dst, len(data), True, thread.thread_id, vm.step, thread.call_stack,
     )
     if fault is not None and fault.kind == FaultKind.BUFFER_OVERFLOW:
         # Corrupt up to the block end, then fault: the overflow is real.
@@ -209,7 +209,7 @@ def _memcpy(vm, thread, call, args):
     if count <= 0:
         return dst
     src_block, fault = vm.memory.check_access(
-        src, count, False, thread.thread_id, vm.step, thread.call_stack(),
+        src, count, False, thread.thread_id, vm.step, thread.call_stack,
     )
     if fault is not None:
         vm.raise_fault(fault)
@@ -316,7 +316,7 @@ def _unlink(vm, thread, call, args):
 def _write(vm, thread, call, args):
     fd, buffer, count = args[0], args[1], args[2]
     block, fault = vm.memory.check_access(
-        buffer, max(1, count), False, thread.thread_id, vm.step, thread.call_stack(),
+        buffer, max(1, count), False, thread.thread_id, vm.step, thread.call_stack,
     )
     if fault is not None:
         vm.raise_fault(fault)
@@ -431,7 +431,7 @@ def _mutex_lock(vm, thread, call, args):
 def _mutex_unlock(vm, thread, call, args):
     address = args[0]
     if vm.mutexes.get(address) == thread.thread_id:
-        vm.mutexes[address] = None
+        vm.release_mutex(address)
         if address in thread.held_mutexes:
             thread.held_mutexes.remove(address)
     vm.emit_sync(thread, SyncEvent.RELEASE, address, call)
@@ -452,7 +452,7 @@ def _cond_wait(vm, thread, call, args):
     if phase == 0:
         # Release the mutex, register as a waiter, block until signalled.
         if vm.mutexes.get(mutex) == thread.thread_id:
-            vm.mutexes[mutex] = None
+            vm.release_mutex(mutex)
             if mutex in thread.held_mutexes:
                 thread.held_mutexes.remove(mutex)
             vm.emit_sync(thread, SyncEvent.RELEASE, mutex, call)

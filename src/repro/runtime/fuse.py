@@ -35,9 +35,10 @@ plus per-VM constants that never change after construction (global and
 function addresses).  Dynamic state — memory contents, block layouts
 re-typed by casts, realloc/free — is read through the live ``Memory`` on
 every execution, so plans cannot go stale the way offset-description
-memos can; :meth:`FuseEngine.invalidate` exists for the debugger-attach
-path and for tests.  Attaching a debugger disables fusion at the run-loop
-level (breakpoints are per-instruction), independent of invalidation.
+memos can; :meth:`FuseEngine.invalidate` drops them when the engine is
+attached to a VM with a different global/function address layout, and
+for tests.  A VM with a debugger attached never fuses: its run loop
+tests every step against the breakpoint set instead.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _compile_load(vm, instruction: Load) -> Optional[Callable]:
         address = read_pointer(frame)
         block, fault = memory.check_access(
             address, size, False, thread.thread_id, vm.step,
-            thread.call_stack(),
+            thread.call_stack,
         )
         if fault is not None:
             vm.raise_fault(fault)
@@ -187,7 +188,7 @@ def _compile_store(vm, instruction: Store) -> Optional[Callable]:
         value = read_value(frame)
         block, fault = memory.check_access(
             address, size, True, thread.thread_id, vm.step,
-            thread.call_stack(),
+            thread.call_stack,
         )
         if fault is not None:
             vm.raise_fault(fault)
@@ -536,7 +537,7 @@ class FuseEngine:
         return FusePlan(tuple(ops), start)
 
     def invalidate(self) -> None:
-        """Drop every plan and heat counter (debugger attach, tests)."""
+        """Drop every plan and heat counter (foreign layout, tests)."""
         self._plans.clear()
         self._heat.clear()
         self.invalidations += 1

@@ -65,6 +65,9 @@ MASK64 = (1 << 64) - 1
 #: Faults that corrupt state but let execution continue (attack material).
 NONFATAL_FAULTS = frozenset({FaultKind.FIELD_OVERFLOW})
 
+#: ``VM._next_wake`` when no sleeper is blocked: later than any step.
+_NEVER = 1 << 62
+
 #: When True, newly constructed VMs default to the reference configuration:
 #: isinstance-chain dispatch and no memoization anywhere.  The differential
 #: oracle (:mod:`repro.runtime.diffcheck`) flips this to re-execute whole
@@ -150,21 +153,30 @@ class VM:
         self.nonfatal_faults = nonfatal_faults
         self.step = 0
         self.threads: Dict[int, ThreadContext] = {}
-        # Incremental scheduling state: the run loop must not rescan every
-        # thread ever created on every step.  ``_alive`` holds non-finished
-        # threads in creation order (matching ``threads.values()`` minus the
-        # finished ones), ``_blocked`` the currently blocked ones, and
-        # ``_halted_count`` the debugger-halted ones, so the common case —
-        # nothing blocked, nothing halted — schedules straight off ``_alive``.
+        # Event-driven scheduling state: the run loop recomputes scheduling
+        # state only at the transitions that can change it.  ``_alive``
+        # holds non-finished threads in creation order (matching
+        # ``threads.values()`` minus the finished ones), ``_blocked`` the
+        # currently blocked ones and ``_halted_count`` the debugger-halted
+        # ones.  ``_runnable`` is the runnable subset of ``_alive``, rebuilt
+        # only when a spawn, finish, block, unblock, halt or resume marks it
+        # stale.  ``_rescan_blocked`` is set when a thread blocks or
+        # finishes or a mutex is released, and ``_next_wake`` is the
+        # earliest sleeper wake-up the last blocked-thread scan saw; the
+        # scan runs only when one of them says a waiter may be due.
         self._alive: List[ThreadContext] = []
         self._blocked: List[ThreadContext] = []
         self._halted_count = 0
+        self._runnable: List[ThreadContext] = []
+        self._runnable_stale = True
+        self._rescan_blocked = False
+        self._next_wake = _NEVER
         self._next_thread_id = 1
         self.mutexes: Dict[int, Optional[int]] = {}
         self.cond_waiters: Dict[int, List[int]] = {}
         self.observers: List[TraceObserver] = []
         self.faults: List[FaultEvent] = []
-        self.debugger = None  # set by Debugger.attach()
+        self.debugger = None  # set by the Debugger(vm) constructor
         self._finished = False
         self._result_reason: Optional[str] = None
         self._function_addresses: Dict[str, int] = {}
@@ -287,6 +299,7 @@ class VM:
         self._next_thread_id += 1
         self.threads[thread.thread_id] = thread
         self._alive.append(thread)
+        self._runnable_stale = True
         self.scheduler.on_thread_created(thread)
         creator_id = creator.thread_id if creator is not None else 0
         event = ThreadLifecycleEvent(
@@ -304,6 +317,8 @@ class VM:
             self._alive.remove(thread)
         except ValueError:
             pass
+        self._runnable_stale = True
+        self._rescan_blocked = True
         event = ThreadLifecycleEvent(
             thread.thread_id, self.step, ThreadLifecycleEvent.EXIT, thread.thread_id,
         )
@@ -324,10 +339,16 @@ class VM:
             thread.wake_step = None
             thread.blocked_kind = None
             thread.blocked_arg = 0
+            self._runnable_stale = True
             try:
                 self._blocked.remove(thread)
             except ValueError:
                 pass
+
+    def release_mutex(self, address: int) -> None:
+        """Mark the mutex at ``address`` free; its waiters get re-polled."""
+        self.mutexes[address] = None
+        self._rescan_blocked = True
 
     # ------------------------------------------------------------------
     # address helpers
@@ -461,27 +482,37 @@ class VM:
                 return outcome
 
     def _run_fast_loop(self, limit: int) -> ExecutionResult:
-        """Incremental scheduling loop: only blocked threads are re-polled.
+        """Event-driven scheduling loop, schedule-identical to the reference.
 
-        Semantically identical to :meth:`_run_reference_loop` — blocked
-        threads are retried and sleepers woken before each filter, and the
-        runnable list preserves creation order — but the common case (no
-        thread blocked or halted) schedules directly off ``_alive`` without
-        rescanning or re-filtering anything.
+        Per-step work happens only when something changed.  Blocked threads
+        are re-polled (the same mutex/join/wake tests the reference loop's
+        ``_retry_blocked`` + ``_wake_sleepers`` apply) only after a thread
+        blocked or finished, a mutex was released, or the step reached the
+        earliest sleeper's wake-up; between those events no waiter's
+        condition can turn true.  The runnable list, in creation order, is
+        rebuilt only after a thread-state transition marked it stale, and
+        otherwise handed to the scheduler again unchanged.  With a debugger
+        attached, ``Debugger.check`` is consulted only for instructions a
+        breakpoint sits on; the instruction is fetched once per step.
         """
         alive = self._alive
         blocked = self._blocked
         threads = self.threads
         mutexes = self.mutexes
         scheduler_choose = self.scheduler.choose
-        step_thread = self.step_thread
+        step_instruction = self._step_instruction
         RUNNABLE = ThreadState.RUNNABLE
         FINISHED = ThreadState.FINISHED
+        debugger = self.debugger
+        if debugger is not None:
+            breakpoint_instructions = debugger.instructions
+            check = debugger.check
         fuse_engine = self.fuse_engine
         if fuse_engine is not None:
             plan_for = fuse_engine.plan_for
             run_length = self.scheduler.run_length
             step_fused = self._step_fused
+        runnable = self._runnable
         while True:
             if self._finished:
                 return ExecutionResult(self._result_reason or
@@ -489,11 +520,13 @@ class VM:
             step = self.step
             if step >= limit:
                 return ExecutionResult(ExecutionResult.STEP_LIMIT, self)
-            if blocked:
+            if blocked and (self._rescan_blocked or step >= self._next_wake):
                 # One pass over only the blocked threads, with the reasons
                 # parsed once at block time: retry mutex/join waits, then
                 # wake expired sleepers — the same set the reference loop's
                 # _retry_blocked + _wake_sleepers unblocks.
+                self._rescan_blocked = False
+                next_wake = _NEVER
                 for thread in blocked[:]:
                     kind = thread.blocked_kind
                     if kind == "mutex":
@@ -506,23 +539,27 @@ class VM:
                             self.unblock(thread.thread_id)
                             continue
                     wake = thread.wake_step
-                    if wake is not None and wake <= step:
-                        self.unblock(thread.thread_id)
-                runnable = [t for t in alive if t.state is RUNNABLE]
-            elif self._halted_count:
-                runnable = [t for t in alive if t.state is RUNNABLE]
-            else:
-                # Nothing blocked or halted: every live thread is runnable.
-                runnable = alive
+                    if wake is not None:
+                        if wake <= step:
+                            self.unblock(thread.thread_id)
+                        elif wake < next_wake:
+                            next_wake = wake
+                self._next_wake = next_wake
+            if self._runnable_stale:
+                self._runnable_stale = False
+                runnable = self._runnable = [
+                    t for t in alive if t.state is RUNNABLE
+                ]
             if not runnable:
                 outcome = self._handle_idle(limit)
                 if outcome is not None:
                     return outcome
                 continue
             thread = scheduler_choose(runnable, step)
-            if self.debugger is not None:
-                instruction = thread.current_instruction()
-                if instruction is not None and self.debugger.check(thread, instruction):
+            instruction = thread.current_instruction()
+            if debugger is not None:
+                if (instruction in breakpoint_instructions
+                        and check(thread, instruction)):
                     self._halt_thread(thread)
                     return ExecutionResult(ExecutionResult.BREAKPOINT, self)
             elif (
@@ -555,14 +592,21 @@ class VM:
                             if outcome is not None:
                                 return outcome
                             continue
-            outcome = step_thread(thread)
+            outcome = step_instruction(thread, instruction)
             if outcome is not None:
                 return outcome
 
     def _halt_thread(self, thread: ThreadContext) -> None:
-        """Debugger halt; ``Debugger.resume`` undoes the count."""
+        """Debugger halt; :meth:`_resume_thread` undoes it."""
         thread.state = ThreadState.HALTED
         self._halted_count += 1
+        self._runnable_stale = True
+
+    def _resume_thread(self, thread: ThreadContext) -> None:
+        """Make a debugger-halted thread runnable again."""
+        thread.state = ThreadState.RUNNABLE
+        self._halted_count -= 1
+        self._runnable_stale = True
 
     def _handle_idle(self, limit: int) -> Optional[ExecutionResult]:
         alive = [t for t in self.threads.values() if t.state != ThreadState.FINISHED]
@@ -638,7 +682,12 @@ class VM:
 
     def step_thread(self, thread: ThreadContext) -> Optional[ExecutionResult]:
         """Execute one instruction of ``thread``."""
-        instruction = thread.current_instruction()
+        return self._step_instruction(thread, thread.current_instruction())
+
+    def _step_instruction(self, thread: ThreadContext,
+                          instruction: Optional[Instruction]
+                          ) -> Optional[ExecutionResult]:
+        """Execute ``instruction``, the one ``thread`` is stopped at."""
         if instruction is None:
             # Fell off a block without terminator: verifier prevents this,
             # but finish the thread defensively.
@@ -668,6 +717,8 @@ class VM:
                 thread.blocked_kind = None
                 thread.blocked_arg = 0
             self._blocked.append(thread)
+            self._runnable_stale = True
+            self._rescan_blocked = True
             return None
         except externals.ProcessExit as exit_request:
             self.world.exit_code = exit_request.code
@@ -806,7 +857,7 @@ class VM:
         address = self.evaluate(frame, instruction.pointer)
         size = self._access_size(instruction.type)
         block, fault = self.memory.check_access(
-            address, size, False, thread.thread_id, self.step, thread.call_stack(),
+            address, size, False, thread.thread_id, self.step, thread.call_stack,
         )
         if fault is not None:
             self.raise_fault(fault)
@@ -821,7 +872,7 @@ class VM:
         value = self.evaluate(frame, instruction.value)
         size = self._access_size(instruction.value.type)
         block, fault = self.memory.check_access(
-            address, size, True, thread.thread_id, self.step, thread.call_stack(),
+            address, size, True, thread.thread_id, self.step, thread.call_stack,
         )
         if fault is not None:
             self.raise_fault(fault)
@@ -920,7 +971,7 @@ class VM:
         operand = self.evaluate(frame, instruction.value)
         size = self._access_size(instruction.type)
         block, fault = self.memory.check_access(
-            address, size, True, thread.thread_id, self.step, thread.call_stack(),
+            address, size, True, thread.thread_id, self.step, thread.call_stack,
         )
         if fault is not None:
             self.raise_fault(fault)

@@ -17,7 +17,7 @@ model the reproduced attacks need:
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.types import ArrayType, IntType, PointerType, StructType, Type
 from repro.runtime.errors import FaultEvent, FaultKind, RuntimeFault
@@ -197,7 +197,7 @@ class Memory:
         is_write: bool,
         thread_id: int,
         step: int,
-        call_stack=(),
+        call_stack: Callable[[], tuple] = tuple,
     ) -> Tuple[Optional[MemoryBlock], Optional[FaultEvent]]:
         """Validate an access; returns (block, fault-or-None).
 
@@ -205,19 +205,24 @@ class Memory:
         can be recorded and the access allowed to continue — that is the
         memory corruption attacks build on.  A ``None`` block means the access
         cannot proceed at all.
+
+        ``call_stack`` is called, with no arguments, only when a fault is
+        built — callers pass the accessing thread's bound
+        ``ThreadContext.call_stack`` so the common, fault-free access never
+        snapshots a stack.
         """
         if address == 0:
             return None, FaultEvent(
                 FaultKind.NULL_DEREF, thread_id,
                 "NULL pointer dereference (%s)" % ("write" if is_write else "read"),
-                address=0, call_stack=call_stack, step=step,
+                address=0, call_stack=call_stack(), step=step,
             )
         block = self.block_at(address)
         if block is None:
             return None, FaultEvent(
                 FaultKind.WILD_ACCESS, thread_id,
                 "access to unmapped address 0x%x" % address,
-                address=address, call_stack=call_stack, step=step,
+                address=address, call_stack=call_stack(), step=step,
             )
         if block.freed:
             return block, FaultEvent(
@@ -225,7 +230,7 @@ class Memory:
                 "%s of freed %s" % (
                     "write" if is_write else "read", block.name or hex(block.base),
                 ),
-                address=address, call_stack=call_stack, step=step,
+                address=address, call_stack=call_stack(), step=step,
             )
         offset = address - block.base
         if offset + size > block.size:
@@ -235,7 +240,7 @@ class Memory:
                     size, "write" if is_write else "read",
                     block.describe_offset(offset), block.size,
                 ),
-                address=address, call_stack=call_stack, step=step,
+                address=address, call_stack=call_stack(), step=step,
             )
         return block, None
 

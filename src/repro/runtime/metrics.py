@@ -56,7 +56,8 @@ Schema of the exported JSON (one file per program run)::
         "optimized_steps_per_second": 260000.0,
         "speedup": 2.167,           # optimized / reference steps/s
         "report_sets_identical": true,
-        "counters_identical": true
+        "counters_identical": true,
+        "verifications_identical": true  # race + vuln verdicts, per report
       },
       # schema 3, present when the run used coverage-guided exploration
       # (the detect stage's saturation curve; see repro.owl.explore):

@@ -28,6 +28,13 @@ class Scheduler:
     """Chooses which runnable thread executes the next instruction."""
 
     def choose(self, runnable: List[ThreadContext], step: int) -> ThreadContext:
+        """Pick the thread that executes decision ``step``.
+
+        ``runnable`` is non-empty and in thread-creation order.  The VM
+        hands the same list object to consecutive calls while the runnable
+        set is unchanged, so a scheduler must neither mutate ``runnable``
+        nor keep a reference to it past the call.
+        """
         raise NotImplementedError
 
     def run_length(self, thread: ThreadContext, step: int,
@@ -105,13 +112,17 @@ class RandomScheduler(Scheduler):
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._rng = random.Random(seed)
+        self.reset()
 
     def choose(self, runnable: List[ThreadContext], step: int) -> ThreadContext:
-        return runnable[self._rng.randrange(len(runnable))]
+        # ``randrange(n)`` validates ``n`` and then returns
+        # ``_randbelow(n)`` for every n >= 1; calling the bound
+        # ``_randbelow`` directly draws the identical stream.
+        return runnable[self._randbelow(len(runnable))]
 
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
+        self._randbelow = self._rng._randbelow
 
 
 class PCTScheduler(Scheduler):

@@ -280,3 +280,25 @@ class TestPredictedSupersetProperty:
         prediction = predict_from_log(
             module, log, policy=PredictPolicy(witness=False))
         assert observed <= prediction.predicted_keys
+
+    def test_attempt_cap_never_drops_an_observed_pair(self):
+        # Three workers give each static pair six thread pairings; the
+        # observed one (t4's unlocked write vs t2's locked read/write of
+        # g1) comes after max_pairs_per_static infeasible ones.
+        from repro.detectors.tsan import TSanDetector
+        from repro.runtime.record import record_seed, replay_log
+        from repro.runtime.scheduler import RandomScheduler
+
+        ops = [("inc", 1, 0), ("inc", 0, 0), ("store", 0, 0),
+               ("locked_inc", 0, 0), ("locked_inc", 1, 0)]
+        module = build_random_module(ops, 3)
+        log, _result, _ = record_seed(
+            module, 0, scheduler=RandomScheduler(0), max_steps=30_000,
+            program="rand")
+        detector = TSanDetector()
+        replay_log(module, log, observers=[detector])
+        observed = {report.static_key for report in detector.reports}
+        policy = PredictPolicy(witness=False)
+        prediction = predict_from_log(module, log, policy=policy)
+        assert (3, 16) in observed and (3, 18) in observed
+        assert observed <= prediction.predicted_keys

@@ -12,6 +12,7 @@ from repro.ir.types import I32, I64, I8, StructType, ptr
 from repro.runtime.diffcheck import (
     Divergence,
     compare_fingerprints,
+    diff_counters,
     diff_program,
     diff_seed,
     fingerprint_run,
@@ -227,6 +228,49 @@ class TestDifferentialOracle:
         divergence = compare_fingerprints(reference, optimized)
         assert divergence is not None
         assert divergence.field == "faults"
+
+
+class TestVerificationOracle:
+    """diff_counters also holds both verification stages' per-report
+    outcomes identical between reference and optimized execution."""
+
+    def test_outcomes_compared_and_identical(self):
+        from repro.apps.registry import spec_by_name
+
+        diff = diff_counters(spec_by_name("libsafe"))
+        assert diff.identical and diff.divergences == []
+        outcomes = diff.optimized_verifications
+        assert outcomes == diff.reference_verifications
+        uid, verified, runs, livelocks, hints = outcomes["race"][0]
+        assert uid.startswith("r") and runs >= 1
+        assert any(entry[1] for entry in outcomes["race"])  # some verified
+        assert outcomes["vulnerability"]
+        assert diff.as_dict()["verifications_identical"] is True
+
+    @pytest.mark.parametrize("stage", ["race", "vulnerability"])
+    def test_outcome_mismatch_records_divergence(self, monkeypatch, stage):
+        from repro.apps.registry import spec_by_name
+        from repro.runtime import diffcheck
+
+        original = diffcheck.verification_outcomes
+        calls = []
+
+        def tampered(result):
+            outcomes = original(result)
+            calls.append(result)
+            if len(calls) == 2:  # the optimized leg
+                entry = outcomes[stage][0]
+                outcomes[stage][0] = entry[:2] + (entry[2] + 1,) + entry[3:]
+            return outcomes
+
+        monkeypatch.setattr(diffcheck, "verification_outcomes", tampered)
+        diff = diff_counters(spec_by_name("libsafe"))
+        assert not diff.identical
+        divergence, = diff.divergences
+        assert divergence.field == "%s_verifications" % stage
+        assert divergence.index == 0
+        assert diff.as_dict()["verifications_identical"] is False
+        assert diff.as_dict()["counters_identical"] is True
 
 
 class TestReferenceMode:

@@ -1,5 +1,7 @@
 """Tests for schedulers and the thread-specific-breakpoint debugger."""
 
+import random
+
 import pytest
 
 from repro.ir import IRBuilder, Module, verify_module
@@ -89,6 +91,30 @@ class TestRandom:
         scheduler.reset()
         second = [scheduler.choose(threads, s).thread_id for s in range(20)]
         assert first == second
+
+    def test_choose_draws_the_randrange_stream(self):
+        # The pinned stream: choose over n runnable threads picks index
+        # random.Random(seed).randrange(n), for every n including 1,
+        # both from a fresh scheduler and after reset().
+        for seed in (0, 1, 42, 2 ** 40):
+            scheduler = RandomScheduler(seed)
+            for _ in range(2):
+                rng = random.Random(seed)
+                for n in list(range(1, 17)) * 4:
+                    threads = [_FakeThread(i) for i in range(n)]
+                    assert (scheduler.choose(threads, 0)
+                            is threads[rng.randrange(n)])
+                assert scheduler._rng.getstate() == rng.getstate()
+                scheduler.reset()
+
+    def test_single_runnable_thread_consumes_a_draw(self):
+        scheduler = RandomScheduler(5)
+        rng = random.Random(5)
+        only = [_FakeThread(1)]
+        assert scheduler.choose(only, 0) is only[0]
+        rng.randrange(1)
+        threads = [_FakeThread(i) for i in range(16)]
+        assert scheduler.choose(threads, 1) is threads[rng.randrange(16)]
 
 
 class TestPCT:
@@ -351,6 +377,111 @@ class TestDebugger:
         debugger.remove_breakpoint(bp)
         vm.start("main")
         assert vm.run().reason == ExecutionResult.FINISHED
+
+    @staticmethod
+    def _count_checks(debugger):
+        """Log every instruction ``Debugger.check`` is consulted for."""
+        calls = []
+        check = debugger.check
+
+        def counting(thread, instruction):
+            calls.append(instruction)
+            return check(thread, instruction)
+
+        debugger.check = counting
+        return calls
+
+    @staticmethod
+    def _resume_all(debugger):
+        for thread in debugger.halted_threads():
+            debugger.resume(thread, step_past=True)
+
+    def test_check_consulted_only_at_breakpoint_instructions(self):
+        module, vm, debugger, load, _ = _debug_session()
+        bp = debugger.add_breakpoint(load)
+        calls = self._count_checks(debugger)
+        vm.start("main")
+        for _ in range(50):
+            result = vm.run()
+            if result.reason != ExecutionResult.BREAKPOINT:
+                break
+            self._resume_all(debugger)
+        assert result.reason == ExecutionResult.FINISHED
+        # 2 workers x 3 iterations reach the load; each visit is checked
+        # twice: the halting hit, then the skip that lets it execute.
+        assert bp.hit_count == 6
+        assert len(calls) == 12
+        assert all(instruction is load for instruction in calls)
+        assert vm.step > len(calls)
+
+    def test_removed_breakpoint_is_never_consulted_again(self):
+        module, vm, debugger, load, _ = _debug_session()
+        bp = debugger.add_breakpoint(load)
+        calls = self._count_checks(debugger)
+        vm.start("main")
+        assert vm.run().reason == ExecutionResult.BREAKPOINT
+        debugger.remove_breakpoint(bp)
+        assert load not in debugger.instructions
+        self._resume_all(debugger)
+        consulted = len(calls)
+        assert vm.run().reason == ExecutionResult.FINISHED
+        assert len(calls) == consulted
+        assert bp.hit_count == 1
+
+    def test_clear_stops_all_halts(self):
+        module, vm, debugger, load, store = _debug_session()
+        debugger.add_breakpoint(load)
+        debugger.add_breakpoint(store)
+        calls = self._count_checks(debugger)
+        vm.start("main")
+        assert vm.run().reason == ExecutionResult.BREAKPOINT
+        debugger.clear()
+        assert not debugger.instructions
+        self._resume_all(debugger)
+        consulted = len(calls)
+        assert vm.run().reason == ExecutionResult.FINISHED
+        assert len(calls) == consulted
+
+    def test_removing_one_of_two_breakpoints_on_an_instruction(self):
+        module, vm, debugger, load, _ = _debug_session()
+        first = debugger.add_breakpoint(load, thread_filter=2)
+        debugger.add_breakpoint(load, thread_filter=3)
+        debugger.remove_breakpoint(first)
+        assert load in debugger.instructions
+        vm.start("main")
+        assert vm.run().reason == ExecutionResult.BREAKPOINT
+        assert [t.thread_id for t in debugger.halted_threads()] == [3]
+
+    def test_breakpoint_disabled_mid_run_never_halts_again(self):
+        module, vm, debugger, load, _ = _debug_session()
+        bp = debugger.add_breakpoint(load)
+        vm.start("main")
+        assert vm.run().reason == ExecutionResult.BREAKPOINT
+        bp.enabled = False
+        self._resume_all(debugger)
+        assert vm.run().reason == ExecutionResult.FINISHED
+        assert bp.hit_count == 1
+
+    @pytest.mark.parametrize("step_past", [True, False])
+    def test_skip_once_steps_resumed_thread_past_its_breakpoint(
+            self, step_past):
+        module, vm, debugger, load, _ = _debug_session()
+        debugger.add_breakpoint(load, thread_filter=2)
+        vm.start("main")
+        assert vm.run().reason == ExecutionResult.BREAKPOINT
+        thread, = debugger.halted_threads()
+        executed = thread.steps_executed
+        debugger.resume(thread, step_past=step_past)
+        result = vm.run()
+        if step_past:
+            # it executed the load it stopped at; any new halt is a later
+            # visit, after at least one more trip round the loop
+            assert thread.steps_executed > executed
+        else:
+            # without the skip it re-halts at the very same visit
+            assert result.reason == ExecutionResult.BREAKPOINT
+            assert thread.state == ThreadState.HALTED
+            assert thread.steps_executed == executed
 
     def test_peek_memory(self):
         module, vm, debugger, load, _ = _debug_session()

@@ -291,6 +291,39 @@ class TestDifferentialExecutionProperties:
         assert reference.recorded_faults == optimized.recorded_faults
 
 
+class TestDebuggerLoopProperties:
+    """The optimized loop schedules like the reference loop on arbitrary
+    IR with random breakpoints, driven the way the race verifier drives a
+    run (halt, resume past, release one on livelock)."""
+
+    op_lists = TestDifferentialExecutionProperties.op_lists
+    breakpoint_picks = st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10_000),
+                  st.sampled_from([None, 2, 3, 4])),
+        min_size=1, max_size=4,
+    )
+
+    @given(op_lists, st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=500), breakpoint_picks)
+    @settings(max_examples=25, deadline=None)
+    def test_breakpoint_schedule_matches_reference(self, ops, workers, seed,
+                                                   picks):
+        from tests.runtime.test_event_driven_loop import execute
+
+        module = build_random_module(ops, workers)
+        worker = module.get_function("worker")
+        instructions = [instruction for block in worker.blocks
+                        for instruction in block.instructions]
+        breakpoints = [(instructions[index % len(instructions)],
+                        thread_filter) for index, thread_filter in picks]
+        reference = execute(module, seed, True, breakpoints,
+                            max_steps=30_000)
+        optimized = execute(module, seed, False, breakpoints,
+                            max_steps=30_000)
+        for field in reference:
+            assert optimized[field] == reference[field], field
+
+
 class TestRecordReplayProperties:
     """The replay invariant on arbitrary IR under every scheduler family:
     a log replayed on the same module is bit-identical (fingerprint,
