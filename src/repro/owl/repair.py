@@ -17,7 +17,10 @@ independent gates** all pass:
     acquisition order legitimately permutes schedule-dependent output
     (e.g. which log message lands first), and for programs whose threads
     block mid-critical-section even the serialized baseline overlaps the
-    racy region.
+    racy region.  The unpatched side depends only on the original module
+    and the spec's seeds, so it is computed once per repair session
+    (:func:`unpatched_behaviours`, at the first candidate that misses the
+    cache) and shared by every candidate's :func:`gate_oracle`.
 (b) **detector re-run** — the spec's front-end detector (tsan or ski) over
     the full detect-seed sweep no longer reports the targeted static pair,
     (for tsan specs) the predictive detector does not predict it from a
@@ -58,14 +61,15 @@ static key — the schema-9 ``repair`` metrics block is bit-identical at
 ``jobs=1`` vs ``jobs=N``.  Patched modules hash to different
 :func:`repro.owl.cache.module_digest` values than their originals, so gate
 results cached under a ``repair`` stage can never collide with the
-unpatched module's detector entries.
+unpatched module's detector entries; the ``repair`` key also covers the
+seeds, step budget, inputs and attack probes the verdicts depend on.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.tsan import run_seeds
 from repro.runtime import externals
@@ -211,29 +215,39 @@ def _reference_behaviours(spec, module: Module,
     return behaviours
 
 
-def gate_oracle(spec, original: Module, patched: Module,
-                seeds: Optional[Sequence[int]] = None) -> Dict:
-    """Gate (a): behaviour-set inclusion, patched ⊆ unpatched.
+def unpatched_behaviours(spec, original: Module) -> Dict[str, str]:
+    """Gate (a)'s allowed set: every behaviour the unpatched module shows.
 
-    The unpatched set is collected over a wider sweep (the patched seeds
-    plus a deterministic margin): a patch reshuffles which *seed* maps to
-    which interleaving, so the allowed set must be sampled generously
-    enough that a legitimate pre-existing behaviour is not misread as
-    novel.  It additionally includes a delay-neutralized sweep of the
-    unpatched module (see :func:`_delays_neutralized`): the serialized,
-    race-free behaviour a correct patch enforces is often unreachable by
-    any work-conserving schedule of the original, yet it is precisely the
-    behaviour the patch must be allowed to produce.  Any behaviour only
-    the patched module exhibits — new fault kinds, changed files, a
-    deadlock reason — fails the gate.
+    It is collected over a wider sweep than the patched side (the detect
+    seeds plus a deterministic 8-seed margin): a patch reshuffles which
+    *seed* maps to which interleaving, so the allowed set must be sampled
+    generously enough that a legitimate pre-existing behaviour is not
+    misread as novel.  It additionally includes a delay-neutralized sweep
+    (see :func:`_delays_neutralized`): the serialized, race-free
+    behaviour a correct patch enforces is often unreachable by any
+    work-conserving schedule of the original, yet it is precisely the
+    behaviour the patch must be allowed to produce.
     """
-    seeds = list(spec.detect_seeds if seeds is None else seeds)
+    seeds = list(spec.detect_seeds)
     margin = ([max(seeds) + 1 + i for i in range(8)]
               if seeds else list(range(8)))
     allowed = _behaviour_set(spec, original, seeds + margin)
     for key, label in _reference_behaviours(spec, original,
                                             seeds + margin).items():
         allowed.setdefault(key, label)
+    return allowed
+
+
+def gate_oracle(spec, allowed: Dict[str, str], patched: Module) -> Dict:
+    """Gate (a): behaviour-set inclusion, patched ⊆ unpatched.
+
+    ``allowed`` is the unpatched side from :func:`unpatched_behaviours`,
+    computed once per repair session and shared by every candidate; this
+    gate runs only the patched module, over a serialized run plus the
+    detect-seed sweep.  Any behaviour only the patched module exhibits —
+    new fault kinds, changed files, a deadlock reason — fails the gate.
+    """
+    seeds = list(spec.detect_seeds)
     observed = _behaviour_set(spec, patched, seeds)
     novel = sorted(label for key, label in observed.items()
                    if key not in allowed)
@@ -303,8 +317,7 @@ def gate_detector(spec, patched: Module, static_key: Tuple[int, int],
         )
         predicted = static_key in prediction.predicted_keys
         predict_ran = True
-    probes = [(payload, truth) for payload, truth in (attack_probes or [])
-              if variable is not None and truth.racy_variable == variable]
+    probes = _probes_for(attack_probes, variable)
     attacks_realized = []
     for payload, truth in probes:
         if _drive_attack(spec, patched, payload, truth):
@@ -318,6 +331,13 @@ def gate_detector(spec, patched: Module, static_key: Tuple[int, int],
         "attacks_checked": len(probes),
         "attacks_realized": attacks_realized,
     }
+
+
+def _probes_for(attack_probes: Optional[Sequence[Tuple[Dict, object]]],
+                variable: Optional[str]) -> List[Tuple[Dict, object]]:
+    """The realized attacks gate (b) re-drives for ``variable``."""
+    return [(payload, truth) for payload, truth in (attack_probes or [])
+            if variable is not None and truth.racy_variable == variable]
 
 
 def _drive_attack(spec, patched: Module, payload: Dict, truth) -> bool:
@@ -674,7 +694,8 @@ class RepairResult:
         return "\n".join(lines)
 
 
-def _gate_candidate(spec, original: Module, patched: Module,
+def _gate_candidate(spec, unpatched: Callable[[], Dict[str, str]],
+                    patched: Module,
                     static_key: Tuple[int, int],
                     outcome: CandidateOutcome,
                     registry: MetricsRegistry,
@@ -682,12 +703,24 @@ def _gate_candidate(spec, original: Module, patched: Module,
                     cache=None,
                     variable: Optional[str] = None,
                     attack_probes: Optional[Sequence] = None) -> bool:
-    """Run the three gates in order; stops at the first failure."""
+    """Run the three gates in order; stops at the first failure.
+
+    ``unpatched`` returns gate (a)'s allowed set; it is called only when
+    the oracle gate actually runs, so a cache hit never computes it.
+    """
     cache_key = None
     if cache is not None:
+        # Everything the three verdicts depend on besides the code version.
         cache_key = cache.key(
             "repair", module=patched, program=spec.name,
-            target="r%d-%d" % static_key, sweep=list(sweep_seeds))
+            target="r%d-%d" % static_key, sweep=list(sweep_seeds),
+            detect_seeds=list(spec.detect_seeds),
+            verify_seeds=list(spec.verify_seeds),
+            max_steps=spec.max_steps, inputs=spec.workload_inputs,
+            attacks=[(payload, truth.attack_id, truth.racing_order,
+                      truth.subtle_inputs)
+                     for payload, truth in _probes_for(attack_probes,
+                                                       variable)])
         hit = cache.get("repair", cache_key)
         if hit is not None:
             outcome.gates = hit["gates"]
@@ -700,7 +733,7 @@ def _gate_candidate(spec, original: Module, patched: Module,
             return hit["passed"]
     passed = True
     for name, run in (
-        ("oracle", lambda: gate_oracle(spec, original, patched)),
+        ("oracle", lambda: gate_oracle(spec, unpatched(), patched)),
         ("detector", lambda: gate_detector(spec, patched, static_key,
                                            variable=variable,
                                            attack_probes=attack_probes)),
@@ -736,6 +769,10 @@ def repair_program(spec, result=None,
     ``realsync`` rewrite is the natural candidate).  Emitted patches are
     recorded into ``result.provenance`` under the ``repair`` stage with
     verdict ``"repaired"``.
+
+    Gate (a)'s unpatched behaviour set is built at most once per call, at
+    the first candidate that misses the repair cache, and shared by every
+    later candidate; a fully warm session never builds it.
     """
     if result is None:
         from repro.owl.pipeline import OwlPipeline
@@ -779,6 +816,14 @@ def repair_program(spec, result=None,
         if detected.realized and detected.ground_truth is not None
     ]
 
+    allowed: Optional[Dict[str, str]] = None
+
+    def unpatched() -> Dict[str, str]:
+        nonlocal allowed
+        if allowed is None:
+            allowed = unpatched_behaviours(spec, original)
+        return allowed
+
     annotations = result.annotations
     for report in targets:
         target = TargetOutcome(report)
@@ -802,7 +847,7 @@ def repair_program(spec, result=None,
             attempt.ops = list(patcher.ops)
             attempt.diff = ir_diff(original, patched)
             attempt.patched_digest = module_digest(patched)
-            if _gate_candidate(spec, original, patched, report.static_key,
+            if _gate_candidate(spec, unpatched, patched, report.static_key,
                                attempt, registry, sweep_seeds, cache=cache,
                                variable=report.variable,
                                attack_probes=attack_probes):

@@ -6,6 +6,8 @@ emitted patches agree with the ``apps/*_fixed`` ground truth; the
 detector gate has teeth (a candidate that merely *silences* the detector
 is rejected because the recorded attack still realizes); and the
 schema-9 ``repair`` metrics block is bit-identical across job counts.
+Gate (a)'s unpatched behaviour set is built at most once per session, and
+the repair cache key covers every input that decides a verdict.
 """
 
 import json
@@ -13,15 +15,21 @@ import json
 import pytest
 
 from repro.apps.registry import spec_by_name
+from repro.ir.instructions import Call
 from repro.ir.patch import ModulePatcher, clone_module
+from repro.ir.types import I32
+from repro.ir.values import ConstantInt
+from repro.owl import repair as repair_module
 from repro.owl.batch import vuln_to_payload
 from repro.owl.cache import ResultCache
 from repro.owl.pipeline import OwlPipeline
 from repro.owl.provenance import DISPOSITION_REPAIRED
 from repro.owl.repair import (
     gate_detector,
+    gate_oracle,
     merge_repair_telemetry,
     repair_program,
+    unpatched_behaviours,
 )
 
 
@@ -170,3 +178,120 @@ class TestRepairCache:
         assert all(target.emitted.cached for target in warm.emitted)
         assert json.dumps(cold.metrics_block(), sort_keys=True) == \
             json.dumps(warm.metrics_block(), sort_keys=True)
+
+
+def _shifted(name, offset):
+    spec = spec_by_name(name)
+    spec.detect_seeds = [seed + offset for seed in spec.detect_seeds]
+    spec.verify_seeds = [seed + offset for seed in spec.verify_seeds]
+    return spec
+
+
+def _cached_flags(repair):
+    return [attempt.cached for target in repair.targets
+            for attempt in target.attempts if attempt.applicable]
+
+
+class TestRepairCacheKey:
+    def test_shifted_seed_window_misses_and_repeat_hits(self, tmp_path):
+        """The gates depend on the detect and verify seeds: a session with
+        shifted windows must not replay gate evidence computed for other
+        windows, while a repeat of the same windows still replays it."""
+        spec = spec_by_name("apache_log")
+        base = repair_program(spec, result=OwlPipeline(spec).run(),
+                              cache=ResultCache(str(tmp_path)))
+        assert not any(_cached_flags(base))
+
+        sessions = []
+        for _ in range(2):
+            shifted = _shifted("apache_log", 40)
+            cache = ResultCache(str(tmp_path))
+            sessions.append(repair_program(
+                shifted, result=OwlPipeline(shifted).run(), cache=cache))
+        miss, hit = sessions
+        # Same targets and patched modules: only the key's seed parts differ.
+        assert [t.emitted.patched_digest for t in miss.emitted] == \
+            [t.emitted.patched_digest for t in base.emitted]
+        assert _cached_flags(miss) and not any(_cached_flags(miss))
+        assert all(_cached_flags(hit))
+        assert json.dumps(miss.metrics_block(), sort_keys=True) == \
+            json.dumps(hit.metrics_block(), sort_keys=True)
+
+
+class TestUnpatchedSetBuiltOnce:
+    def test_once_cold_never_warm_and_shared_set_is_sound(
+            self, apache_log_run, tmp_path, monkeypatch):
+        spec, result = apache_log_run
+        builds = []
+        oracle_calls = []
+
+        def counting(spec_, original):
+            allowed = unpatched_behaviours(spec_, original)
+            builds.append((original, allowed))
+            return allowed
+
+        def recording(spec_, allowed, patched):
+            outcome = gate_oracle(spec_, allowed, patched)
+            oracle_calls.append((allowed, patched, outcome))
+            return outcome
+
+        monkeypatch.setattr(repair_module, "unpatched_behaviours", counting)
+        monkeypatch.setattr(repair_module, "gate_oracle", recording)
+
+        cold = repair_program(spec, result=result,
+                              cache=ResultCache(str(tmp_path)))
+        assert len(builds) == 1
+        assert len(oracle_calls) == len(cold.emitted) == 4
+        original, shared = builds[0]
+        assert all(allowed is shared for allowed, _, _ in oracle_calls)
+
+        warm = repair_program(spec, result=result,
+                              cache=ResultCache(str(tmp_path)))
+        assert len(builds) == 1            # a warm session builds nothing
+        assert len(oracle_calls) == 4
+        assert all(_cached_flags(warm))
+
+        # Patched runs leak no state into the shared set: it equals a set
+        # built afresh, from the same original after every patched run and
+        # from a freshly built spec, and each candidate's verdict does too.
+        assert unpatched_behaviours(spec, original) == shared
+        fresh_spec = spec_by_name("apache_log")
+        fresh = unpatched_behaviours(fresh_spec, fresh_spec.build())
+        assert fresh == shared
+        for _, patched, outcome in oracle_calls:
+            assert gate_oracle(fresh_spec, fresh, patched) == outcome
+
+
+class TestOracleGate:
+    @pytest.fixture(scope="class")
+    def apache_log_allowed(self):
+        spec = spec_by_name("apache_log")
+        original = spec.build()
+        return spec, original, unpatched_behaviours(spec, original)
+
+    def test_unmodified_clone_passes(self, apache_log_allowed):
+        spec, original, allowed = apache_log_allowed
+        gate = gate_oracle(spec, allowed, clone_module(original))
+        assert gate["passed"] is True
+        assert gate["novel_behaviours"] == []
+        assert gate["unpatched_behaviours"] == len(allowed)
+        assert gate["seeds_checked"] == len(spec.detect_seeds) + 1
+
+    def test_added_observable_behaviour_fails_and_is_named(
+            self, apache_log_allowed):
+        """A clone that drops privileges on entry shows a privilege-log
+        entry no unpatched schedule shows, so every behaviour it exhibits
+        is novel, each named by the first schedule that showed it."""
+        spec, original, allowed = apache_log_allowed
+        patched = clone_module(original)
+        patcher = ModulePatcher(patched)
+        setuid = patcher.ensure_external("setuid")
+        entry = patched.get_function(spec.entry).first_instruction()
+        patcher.insert_before(entry, Call(setuid, [ConstantInt(I32, 0)]))
+        gate = gate_oracle(spec, allowed, patched)
+        assert gate["passed"] is False
+        novel = gate["novel_behaviours"]
+        assert "serial" in novel
+        assert len(novel) == gate["patched_behaviours"]
+        assert all(label == "serial" or label.startswith("seed=")
+                   for label in novel)
