@@ -45,10 +45,9 @@ coverage-guided exploration, ``--predict`` (with ``--optimistic``/
 ``--no-witness``) to run a predict wave before exploring so later waves
 only spend budget on interleavings prediction could not decide,
 ``--profile`` (with ``--profile-interval``/
-``--profile-out``) to sample the VM call stack during detection,
-``--feed PATH`` to stream progress events for ``owl watch``, and
-``--history [PATH]`` to append the run's trajectory record for
-``tools/bench_regress.py`` (see ``docs/OPERATIONS.md`` for the runbook).
+``--profile-out``) to sample the VM call stack during detection, and
+``--feed PATH`` to stream progress events for ``owl watch`` (see
+``docs/OPERATIONS.md`` for the runbook).
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ def _finish_cached_run(cache, journal) -> None:
 
 
 def _finish_telemetry(result, args) -> None:
-    """Shared ``--profile``/``--history`` epilogue of detect/export."""
+    """Shared ``--profile`` epilogue of detect/export."""
     if result.profile is not None:
         print()
         print(result.profile.top_table(getattr(args, "profile_top", 10)))
@@ -135,14 +134,6 @@ def _finish_telemetry(result, args) -> None:
                 handle.write(result.profile.collapsed())
             print("collapsed stacks written to %s (feed to flamegraph.pl "
                   "or speedscope)" % out)
-    history = getattr(args, "history", None)
-    if history:
-        from repro.owl.history import append_record, record_from_metrics
-
-        record = record_from_metrics(result.metrics.as_dict())
-        append_record(record, history)
-        print("history record appended to %s (steps/s: %s)" % (
-            history, record["steps_per_second"]))
 
 
 def _cmd_list(_args) -> int:
@@ -718,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "predictions stay marked unwitnessed")
 
     def add_telemetry_arguments(command):
-        from repro.owl.history import default_history_path
         from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
 
         command.add_argument(
@@ -741,12 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--feed", metavar="PATH", default=None,
             help="stream progress events to a JSON-lines feed at PATH "
                  "(follow with `owl watch PATH`)")
-        command.add_argument(
-            "--history", metavar="PATH", nargs="?", default=None,
-            const=default_history_path(),
-            help="append this run's trajectory record (steps/s, stage "
-                 "walls, parity counters) to PATH (default when given "
-                 "without a value: %s)" % default_history_path())
 
     detect = sub.add_parser("detect", help="run the OWL pipeline on a target")
     detect.add_argument("program")

@@ -283,6 +283,7 @@ class SeedRun:
             seed=self.seed, reason=self.result.reason,
             steps=self.result.steps, accesses=self.accesses,
             reports=len(self.reports), wall_seconds=self.wall_seconds,
+            coverage=self.coverage, profile=self.profile,
         )
 
 
@@ -373,16 +374,6 @@ def run_seed(
     return run
 
 
-def profile_stride(profile_out: Optional[List],
-                   profile_interval: Optional[int]) -> Optional[int]:
-    """The per-seed sampling stride of a sweep (None: not profiling)."""
-    if profile_out is None:
-        return None
-    from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
-
-    return int(profile_interval or DEFAULT_SAMPLE_INTERVAL)
-
-
 def run_seeds(
     kind: str,
     module: Module,
@@ -395,9 +386,8 @@ def run_seeds(
     depth: int = 3,
     entry_args: Sequence[int] = (),
     tracer=None,
-    coverage_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
+    coverage: bool = False,
+    profile: Optional[int] = None,
     feed=None,
     fuse=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
@@ -406,9 +396,10 @@ def run_seeds(
     Returns the merged reports and one
     :class:`repro.runtime.metrics.RunStats` per seed — the same contract
     as the pooled :func:`repro.owl.batch.run_seeds_parallel`.
-    ``coverage_out``/``profile_out`` receive one coverage/profile per seed
-    in seed order; ``feed`` (an :class:`repro.owl.stream.EventFeed`) one
-    ``seed_done`` event per seed.  Every seed shares one
+    ``coverage`` and ``profile`` (a sampling stride) are passed to every
+    :func:`run_seed`, and each seed's coverage/profile rides on its
+    ``RunStats``; ``feed`` (an :class:`repro.owl.stream.EventFeed`)
+    receives one ``seed_done`` event per seed.  Every seed shares one
     :class:`repro.runtime.fuse.FuseEngine` (``fuse``, or a fresh one):
     the seeds run the same module, so compiled superinstructions
     amortize.
@@ -417,7 +408,6 @@ def run_seeds(
         from repro.runtime.fuse import FuseEngine
 
         fuse = FuseEngine()
-    profile = profile_stride(profile_out, profile_interval)
     reports = ReportSet()
     stats: List[RunStats] = []
     for seed in seeds:
@@ -425,15 +415,10 @@ def run_seeds(
             module, seed, kind=kind, entry=entry, inputs=inputs,
             annotations=annotations, max_steps=max_steps,
             scheduler=scheduler, depth=depth, entry_args=entry_args,
-            tracer=tracer, coverage=coverage_out is not None,
-            profile=profile, fuse=fuse,
+            tracer=tracer, coverage=coverage, profile=profile, fuse=fuse,
         )
         reports.merge(run.reports)
         stats.append(run.stats())
-        if coverage_out is not None:
-            coverage_out.append(run.coverage)
-        if profile_out is not None:
-            profile_out.append(run.profile)
         if feed is not None:
             feed.seed_done(stage="detect", seed=seed, detector=kind,
                            steps=run.result.steps, reports=len(run.reports),

@@ -73,7 +73,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
 from repro.detectors.report import AccessRecord, RaceReport, ReportSet
-from repro.detectors.tsan import profile_stride, run_seed
+from repro.detectors.tsan import run_seed
 from repro.ir.module import Module
 from repro.owl.race_verifier import (
     DynamicRaceVerifier,
@@ -390,13 +390,9 @@ def _cacheable(output: Dict) -> Dict:
     Spans are observations of one particular execution (timings, worker
     ids), not results — replaying them from a warm cache would be lying
     about where time went, so they are stripped; cache hits get a single
-    ``cached=True`` marker span instead.  Schedule logs are stripped too:
-    they live in their own ``record`` stage (far smaller entries), so a
-    detect entry produced by a recording run stays byte-identical to one
-    produced by a normal run.
+    ``cached=True`` marker span instead.
     """
-    return {key: value for key, value in output.items()
-            if key not in ("spans", "log")}
+    return {key: value for key, value in output.items() if key != "spans"}
 
 
 def run_cached_tasks(
@@ -469,8 +465,7 @@ def _detect_worker(payload: Dict) -> Dict:
         annotations=annotations_from_payload(module, payload["annotations"]),
         max_steps=payload["max_steps"], scheduler=payload["scheduler"],
         depth=payload["depth"], entry_args=payload["entry_args"],
-        tracer=tracer, coverage=True, record=bool(payload.get("record")),
-        profile=payload.get("profile"),
+        tracer=tracer, coverage=True, profile=payload.get("profile"),
     )
     output = {
         "seed": run.seed,
@@ -480,8 +475,6 @@ def _detect_worker(payload: Dict) -> Dict:
         "coverage": run.coverage.to_payload(),
         "spans": tracer.export_payload(),
     }
-    if run.log is not None:
-        output["log"] = run.log.to_payload()
     if run.profile is not None:
         output["profile"] = run.profile.to_payload()
     return output
@@ -491,7 +484,6 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
                     annotations_payload, max_steps: int, depth: int,
                     entry_args: Sequence[int],
                     scheduler: Optional[str] = None,
-                    record: bool = False,
                     profile: Optional[int] = None) -> Dict:
     payload = {
         "kind": kind,
@@ -505,8 +497,6 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
         "entry_args": tuple(entry_args),
         "scheduler": scheduler,
     }
-    if record:
-        payload["record"] = True
     if profile:
         # Part of the cache key on purpose: a profiled run's output
         # carries the sample aggregate, so it must not be answered from
@@ -515,23 +505,14 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
     return payload
 
 
-#: payload keys excluded from cache keys: the module source (the module
-#: digest already keys the build) and the record flag (recording never
-#: changes the detector's results, so recorded and plain runs share the
-#: same detect entries; logs key the separate ``record`` stage).
-_NON_KEY_FIELDS = ("source", "record")
+def _item_key(cache, module: Module, payload: Dict) -> str:
+    """Cache key of one seed's ``detect`` entry.
 
-
-def _item_key(cache, module: Module, payload: Dict,
-              stage: str = "detect") -> str:
-    """Cache key of one seed's ``detect`` entry or ``record`` log.
-
-    Both stages key the same parts — everything but the module source and
-    the record flag — so a recorded seed's detect entry is the plain one.
+    Every payload field but the module source keys it (the module digest
+    already keys the build).
     """
-    parts = {key: value for key, value in payload.items()
-             if key not in _NON_KEY_FIELDS}
-    return cache.key(stage, module=module, **parts)
+    parts = {key: value for key, value in payload.items() if key != "source"}
+    return cache.key("detect", module=module, **parts)
 
 
 def run_seeds_parallel(
@@ -551,10 +532,8 @@ def run_seeds_parallel(
     cache=None,
     policy: Optional[BatchPolicy] = None,
     scheduler: Optional[str] = None,
-    coverage_out: Optional[List] = None,
-    logs_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
+    coverage: bool = False,
+    profile: Optional[int] = None,
     feed=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Fan one program's seeds out over worker processes.
@@ -574,96 +553,50 @@ def run_seeds_parallel(
 
     ``scheduler`` overrides the front end's schedule family per seed (part
     of every cache key, so escalated re-runs of a seed never collide with
-    its base-family entry).  ``coverage_out``, when given a list, receives
-    one :class:`repro.runtime.coverage.SeedCoverage` per seed **in seed
-    order** — the deterministic merge input the exploration driver's
-    budgeting (and its jobs=1 vs jobs=2 parity) relies on.
+    its base-family entry).  Every worker output carries the seed's
+    coverage; ``coverage=True`` decodes it into each ``RunStats`` as a
+    :class:`repro.runtime.coverage.SeedCoverage` — the deterministic,
+    seed-ordered merge input the exploration driver's budgeting (and its
+    jobs=1 vs jobs=2 parity) relies on.
 
-    ``logs_out``, when given a list, turns on recording: it receives one
-    :class:`repro.runtime.record.ScheduleLog` per seed in seed order.
-    Logs land in the cache under their own ``record`` stage — far smaller
-    entries than the detect payloads — keyed by the same parts as the
-    detect entry, which itself stays byte-identical to a plain run's.  A
-    seed is only answered from the cache when *both* stages hit; a seed
-    whose log is missing re-executes (re-warming both), so recording
-    always returns a complete log set.
-
-    ``profile_out``, when given a list, receives one
-    :class:`repro.runtime.profiler.SeedProfile` per seed in seed order
-    (sampled every ``profile_interval`` decisions); profiles are part of
-    the worker output and the cache entry, so warm profiled runs return
-    the same samples the cold run took.  ``feed``, when given an
-    :class:`repro.owl.stream.EventFeed`, receives one ``seed_done`` event
-    per seed at merge time — in seed order, with the cache disposition.
+    ``profile``, a sampling stride, puts a
+    :class:`repro.runtime.profiler.SeedProfile` on each ``RunStats``;
+    profiles are part of the worker output and the cache entry, so warm
+    profiled runs return the same samples the cold run took.  ``feed``,
+    when given an :class:`repro.owl.stream.EventFeed`, receives one
+    ``seed_done`` event per seed at merge time — in seed order, with the
+    cache disposition.
     """
     seeds = list(seeds)
-    record = logs_out is not None
     annotations_payload = annotations_to_payload(annotations)
-    profile = profile_stride(profile_out, profile_interval)
     payloads = [
         _detect_payload(kind, module_source, seed, entry, inputs,
                         annotations_payload, max_steps, depth, entry_args,
-                        scheduler=scheduler, record=record, profile=profile)
+                        scheduler=scheduler, profile=profile)
         for seed in seeds
     ]
     keys = (
         [_item_key(cache, module, payload) for payload in payloads]
         if cache is not None else None
     )
-    if record and cache is not None:
-        record_keys = [_item_key(cache, module, payload, stage="record")
-                       for payload in payloads]
-        cached_logs = [cache.get("record", key) for key in record_keys]
-        hit_indices = [i for i, log in enumerate(cached_logs)
-                       if log is not None]
-        live_indices = [i for i, log in enumerate(cached_logs) if log is None]
-        outputs: List[Optional[Dict]] = [None] * len(payloads)
-        if hit_indices:
-            # The log is on disk; the detect entry may be answered from the
-            # cache as usual (and is re-stored on a miss).
-            hit_outputs = run_cached_tasks(
-                _detect_worker, [payloads[i] for i in hit_indices],
-                cache=cache, stage="detect",
-                keys=[keys[i] for i in hit_indices],
-                jobs=jobs, executor=executor, policy=policy,
-            )
-            for index, output in zip(hit_indices, hit_outputs):
-                if "log" not in output:
-                    output["log"] = cached_logs[index]
-                outputs[index] = output
-        if live_indices:
-            # No log on disk: force a live run even if the detect entry is
-            # warm, then store both stages.
-            live_outputs = run_cached_tasks(
-                _detect_worker, [payloads[i] for i in live_indices],
-                cache=None, jobs=jobs, executor=executor, policy=policy,
-            )
-            for index, output in zip(live_indices, live_outputs):
-                outputs[index] = output
-                cache.put("detect", keys[index], _cacheable(output))
-                cache.put("record", record_keys[index], output["log"])
-    else:
-        outputs = run_cached_tasks(
-            _detect_worker, payloads, cache=cache, stage="detect", keys=keys,
-            jobs=jobs, executor=executor, policy=policy,
-        )
+    outputs = run_cached_tasks(
+        _detect_worker, payloads, cache=cache, stage="detect", keys=keys,
+        jobs=jobs, executor=executor, policy=policy,
+    )
     merged = ReportSet()
     stats: List[RunStats] = []
     for seed, output in zip(seeds, outputs):  # seed order, always
         merged.merge(reports_from_payloads(module, output["reports"]))
-        stats.append(RunStats(*output["stats"]))
-        if coverage_out is not None and output.get("coverage") is not None:
+        stat = RunStats(*output["stats"])
+        if coverage:
             from repro.runtime.coverage import SeedCoverage
 
-            coverage_out.append(SeedCoverage.from_payload(output["coverage"]))
-        if logs_out is not None and output.get("log") is not None:
-            from repro.runtime.record import ScheduleLog
-
-            logs_out.append(ScheduleLog.from_payload(output["log"]))
-        if profile_out is not None and output.get("profile") is not None:
+            stat.coverage = SeedCoverage.from_payload(output["coverage"])
+        if profile:
             from repro.runtime.profiler import SeedProfile
 
-            profile_out.append(SeedProfile.from_payload(output["profile"]))
+            stat.profile = SeedProfile.from_payload(output["profile"])
+        stats.append(stat)
         if feed is not None:
             feed.seed_done(stage="detect", seed=seed, detector=kind,
                            steps=output["stats"][2],
@@ -687,8 +620,8 @@ def run_detector_batch(
     tracer: Optional[SpanTracer] = None,
     cache=None,
     policy: Optional[BatchPolicy] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
+    coverage: bool = False,
+    profile: Optional[int] = None,
     feed=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """The spec's front-end detector over its seeds, via the worker path.
@@ -703,8 +636,7 @@ def run_detector_batch(
         inputs=spec.workload_inputs, seeds=spec.detect_seeds,
         annotations=annotations, max_steps=spec.max_steps, jobs=jobs,
         executor=executor, tracer=tracer, cache=cache, policy=policy,
-        profile_out=profile_out, profile_interval=profile_interval,
-        feed=feed,
+        coverage=coverage, profile=profile, feed=feed,
     )
 
 

@@ -37,7 +37,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.report import ReportSet
-from repro.detectors.tsan import front_end, profile_stride, run_seed, run_seeds
+from repro.detectors.tsan import front_end, run_seed, run_seeds
 from repro.owl.batch import (
     annotations_to_payload,
     can_parallelize,
@@ -237,86 +237,77 @@ class ExplorationResult:
 def _run_predict_wave(
     kind: str, module, entry: str, inputs, annotations, max_steps: int,
     entry_args, family: str, depth: int, predict_policy, tracer=None,
-    world_factory=None, cache=None, feed=None,
-    profile_out=None, profile_interval=None,
+    world_factory=None, cache=None, feed=None, profile=None,
 ):
     """Wave 0 of a predicting exploration: one recorded run + closure.
 
     Runs seed 0 once under the base schedule family with the recorder
     attached, then predicts the feasible race set from that single log
     (:func:`repro.detectors.predict.predict_from_log`).  Returns
-    ``(reports, stats, coverage, prediction)`` where ``reports`` merges
-    the live seed-0 reports with the predicted ones, and ``coverage`` is
-    the seed-0 coverage *pre-seeded* with every predicted static pair —
-    the delta that makes later waves dry when they only rediscover what
-    prediction already decided.  Serial and deterministic at any job
-    count; cacheable as one ``predict`` stage entry.
+    ``(reports, stats, prediction)`` where ``reports`` merges the live
+    seed-0 reports with the predicted ones and ``stats`` is seed 0's one
+    ``RunStats``, carrying its coverage (and its profile when ``profile``
+    is a sampling stride).  Serial and deterministic at any job count;
+    cacheable as one ``predict`` stage entry, keyed on the stride and
+    holding the profile like a ``detect`` entry does.
     """
     from repro.detectors.predict import PredictionResult, predict_from_log
 
-    key = None
+    key = hit = None
     if cache is not None:
         key = cache.key(
             "predict", module=module, kind=kind, seed=0, entry=entry,
             inputs=inputs, annotations=annotations_to_payload(annotations),
             max_steps=max_steps, entry_args=tuple(entry_args),
             scheduler=family, depth=depth,
-            predict=predict_policy.as_dict(),
+            predict=predict_policy.as_dict(), profile=profile,
         )
         hit = cache.get("predict", key)
-        if hit is not None:
-            prediction = PredictionResult.from_payload(
-                module, hit["prediction"])
-            reports = ReportSet()
-            for payload in hit["reports"]:
-                reports.add(report_from_payload(module, payload))
-            for item in prediction.predictions:
-                reports.add(item.report)
-            stats = [RunStats(*hit["stats"])]
-            coverage = SeedCoverage.from_payload(hit["coverage"])
-            if feed is not None:
-                feed.seed_done(stage="detect", seed=0, detector=kind,
-                               steps=stats[0].steps,
-                               reports=stats[0].reports, cached=True)
-            return reports, stats, coverage, prediction
+    if hit is not None:
+        prediction = PredictionResult.from_payload(module, hit["prediction"])
+        seed_reports = ReportSet()
+        for payload in hit["reports"]:
+            seed_reports.add(report_from_payload(module, payload))
+        stat = RunStats(*hit["stats"],
+                        coverage=SeedCoverage.from_payload(hit["coverage"]))
+        if profile:
+            from repro.runtime.profiler import SeedProfile
 
-    run = run_seed(
-        module, 0, kind=kind, entry=entry, inputs=inputs,
-        annotations=annotations, max_steps=max_steps, scheduler=family,
-        depth=depth, entry_args=entry_args, tracer=tracer, coverage=True,
-        record=True, profile=profile_stride(profile_out, profile_interval),
-    )
-    if profile_out is not None:
-        profile_out.append(run.profile)
-    seed_reports = run.reports
-    prediction = predict_from_log(
-        module, run.log, annotations=annotations, inputs=inputs,
-        world_factory=world_factory, policy=predict_policy,
-        observed_keys={report.static_key for report in seed_reports},
-    )
-    stats = [run.stats()]
-    seed0 = run.coverage
-    coverage = SeedCoverage(
-        seed=0, pairs=seed0.pairs | prediction.predicted_keys,
-        signature=seed0.signature, switches=seed0.switches,
-    )
+            stat.profile = SeedProfile.from_payload(hit["profile"])
+    else:
+        run = run_seed(
+            module, 0, kind=kind, entry=entry, inputs=inputs,
+            annotations=annotations, max_steps=max_steps, scheduler=family,
+            depth=depth, entry_args=entry_args, tracer=tracer,
+            coverage=True, record=True, profile=profile,
+        )
+        seed_reports = run.reports
+        prediction = predict_from_log(
+            module, run.log, annotations=annotations, inputs=inputs,
+            world_factory=world_factory, policy=predict_policy,
+            observed_keys={report.static_key for report in seed_reports},
+        )
+        stat = run.stats()
+        if key is not None:
+            entry_payload = {
+                "reports": [report_to_payload(r) for r in seed_reports],
+                "stats": (0, stat.reason, stat.steps, stat.accesses,
+                          stat.reports, stat.wall_seconds),
+                "coverage": stat.coverage.to_payload(),
+                "prediction": prediction.to_payload(),
+            }
+            if profile:
+                entry_payload["profile"] = stat.profile.to_payload()
+            cache.put("predict", key, entry_payload)
+    if feed is not None:
+        feed.seed_done(stage="detect", seed=0, detector=kind,
+                       steps=stat.steps, reports=stat.reports,
+                       cached=hit is not None)
     reports = ReportSet()
     reports.merge(seed_reports)
     for item in prediction.predictions:
         reports.add(item.report)
-    if cache is not None and key is not None:
-        cache.put("predict", key, {
-            "reports": [report_to_payload(r) for r in seed_reports],
-            "stats": (0, run.result.reason, run.result.steps, run.accesses,
-                      len(seed_reports), run.wall_seconds),
-            "coverage": coverage.to_payload(),
-            "prediction": prediction.to_payload(),
-        })
-    if feed is not None:
-        feed.seed_done(stage="detect", seed=0, detector=kind,
-                       steps=run.result.steps, reports=len(seed_reports),
-                       cached=False)
-    return reports, stats, coverage, prediction
+    return reports, [stat], prediction
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +330,8 @@ def explore_seeds(
     cache=None,
     policy=None,
     explore: Optional[ExplorePolicy] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
+    coverage: bool = False,
+    profile: Optional[int] = None,
     feed=None,
     world_factory=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
@@ -356,7 +347,9 @@ def explore_seeds(
     :class:`ExplorationResult` (waves, saturation, coverage) is appended
     to ``explore.history``.
 
-    ``profile_out``/``profile_interval`` sample every executed seed's VM
+    Every executed seed's ``RunStats`` carries its coverage when
+    ``coverage`` is set (the predict wave's is seed 0's own, without the
+    predicted pairs) and its profile when ``profile`` is a sampling stride
     (see :mod:`repro.runtime.profiler`); ``feed`` (an
     :class:`repro.owl.stream.EventFeed`) receives one ``seed_done`` per
     seed and one ``wave_done`` per wave — the live per-wave progress
@@ -388,14 +381,19 @@ def explore_seeds(
     cursor = 0
     if explore.predict is not None:
         family, wave_depth = ladder[0]
-        wave_reports, wave_stats, coverage, prediction = _run_predict_wave(
+        wave_reports, wave_stats, prediction = _run_predict_wave(
             kind, module, entry, inputs, annotations, max_steps,
             entry_args, family, wave_depth, explore.predict, tracer=tracer,
             world_factory=world_factory, cache=cache, feed=feed,
-            profile_out=profile_out, profile_interval=profile_interval,
+            profile=profile,
         )
         result.predict = prediction
-        new_pairs = result.coverage.merge(coverage)
+        # Pre-seed coverage with every predicted pair, so a later wave
+        # that only rediscovers predicted races is dry.
+        seed0 = wave_stats[0].coverage
+        new_pairs = result.coverage.merge(SeedCoverage(
+            0, seed0.pairs | prediction.predicted_keys, seed0.signature,
+            seed0.switches))
         merged.merge(wave_reports)
         stats.extend(wave_stats)
         result.seeds_executed += 1
@@ -421,28 +419,25 @@ def explore_seeds(
             cursor, min(cursor + explore.wave_size, explore.max_seeds)))
         cursor += len(wave_seeds)
         family, wave_depth = ladder[rung]
-        wave_coverage: List[SeedCoverage] = []
         if module_source is not None:
             wave_reports, wave_stats = run_seeds_parallel(
                 kind, module, module_source, entry=entry, inputs=inputs,
                 seeds=wave_seeds, annotations=annotations,
                 max_steps=max_steps, entry_args=entry_args, depth=wave_depth,
                 jobs=jobs, executor=executor, tracer=tracer, cache=cache,
-                policy=policy, scheduler=family, coverage_out=wave_coverage,
-                profile_out=profile_out, profile_interval=profile_interval,
-                feed=feed,
+                policy=policy, scheduler=family, coverage=True,
+                profile=profile, feed=feed,
             )
         else:
             wave_reports, wave_stats = run_seeds(
                 kind, module, wave_seeds, entry=entry, inputs=inputs,
                 annotations=annotations, max_steps=max_steps,
                 scheduler=family, depth=wave_depth, entry_args=entry_args,
-                tracer=tracer, coverage_out=wave_coverage,
-                profile_out=profile_out, profile_interval=profile_interval,
-                feed=feed,
+                tracer=tracer, coverage=True, profile=profile, feed=feed,
             )
         signatures_before = result.coverage.distinct_schedules
-        deltas = result.coverage.merge_all(wave_coverage)  # seed order
+        deltas = result.coverage.merge_all(  # seed order
+            [stat.coverage for stat in wave_stats])
         merged.merge(wave_reports)
         stats.extend(wave_stats)
         result.seeds_executed += len(wave_seeds)
@@ -476,6 +471,9 @@ def explore_seeds(
             break
     result.wall_seconds = time.perf_counter() - started
     explore.history.append(result)
+    if not coverage:
+        for stat in stats:
+            stat.coverage = None
     return merged, stats
 
 
@@ -488,8 +486,8 @@ def explore_program(
     cache=None,
     policy=None,
     explore: Optional[ExplorePolicy] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
+    coverage: bool = False,
+    profile: Optional[int] = None,
     feed=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Exploration over one :class:`repro.spec.ProgramSpec`'s detector.
@@ -508,7 +506,6 @@ def explore_program(
         entry=spec.entry, inputs=spec.workload_inputs,
         annotations=annotations, max_steps=spec.max_steps,
         jobs=jobs, executor=executor, tracer=tracer, cache=cache,
-        policy=policy, explore=explore, profile_out=profile_out,
-        profile_interval=profile_interval, feed=feed,
-        world_factory=spec.initial_world,
+        policy=policy, explore=explore, coverage=coverage, profile=profile,
+        feed=feed, world_factory=spec.initial_world,
     )

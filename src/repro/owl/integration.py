@@ -34,8 +34,8 @@ def run_detector(
     policy=None,
     explore=None,
     replay=None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
+    coverage: bool = False,
+    profile: Optional[int] = None,
     feed=None,
     fuse=None,
 ) -> Tuple[ReportSet, List[RunStats]]:
@@ -61,8 +61,10 @@ def run_detector(
       (:func:`repro.detectors.tsan.run_seeds`).
 
     All routes produce the same reports and stats.  ``tracer`` collects one
-    ``detect_seed`` span per execution; ``profile_out``/``profile_interval``
-    sample every live seed (:mod:`repro.runtime.profiler`); ``feed`` (an
+    ``detect_seed`` span per execution.  ``coverage`` and ``profile`` (a
+    sampling stride, :mod:`repro.runtime.profiler`) hang every live seed's
+    coverage and profile on its ``RunStats`` — cache hits return the ones
+    the cold run took; replay fills neither.  ``feed`` (an
     :class:`repro.owl.stream.EventFeed`) receives one ``seed_done`` event
     per live seed.  ``fuse`` (a :class:`repro.runtime.fuse.FuseEngine`)
     is the engine the serial sweep shares across its seeds.
@@ -75,22 +77,20 @@ def run_detector(
         return explore_program(
             spec, annotations=annotations, jobs=jobs, executor=executor,
             tracer=tracer, cache=cache, policy=policy, explore=explore,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed,
+            coverage=coverage, profile=profile, feed=feed,
         )
     if (jobs > 1 or executor is not None or cache is not None) \
             and can_parallelize(spec):
         return run_detector_batch(
             spec, annotations=annotations, jobs=jobs, executor=executor,
             tracer=tracer, cache=cache, policy=policy,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed,
+            coverage=coverage, profile=profile, feed=feed,
         )
     return run_seeds(
         spec.detector, spec.build(), spec.detect_seeds, entry=spec.entry,
         inputs=spec.workload_inputs, annotations=annotations,
-        max_steps=spec.max_steps, tracer=tracer, profile_out=profile_out,
-        profile_interval=profile_interval, feed=feed, fuse=fuse,
+        max_steps=spec.max_steps, tracer=tracer, coverage=coverage,
+        profile=profile, feed=feed, fuse=fuse,
     )
 
 

@@ -236,9 +236,10 @@ class OwlPipeline:
     span count — everything job-count invariant — into the schema-6
     metrics JSON ``"telemetry"`` block and ``result.telemetry``.
     ``profile=K`` additionally samples the detector stages' VMs every K
-    scheduler decisions (:mod:`repro.runtime.profiler`; live runs only —
-    off by default, zero overhead when off), merging per-seed profiles in
-    seed order into ``result.profile``.  ``feed``
+    scheduler decisions (:mod:`repro.runtime.profiler`; off by default,
+    zero overhead when off, no samples under replay): each detector sweep
+    returns its seeds' profiles on their ``RunStats``, and the run merges
+    them in sweep order into ``result.profile``.  ``feed``
     (:class:`repro.owl.stream.EventFeed`) streams structured progress
     events — stages, seeds, waves, verification items — as the run
     executes, for ``owl watch``.
@@ -293,7 +294,9 @@ class OwlPipeline:
         self.feed = feed
         #: Per-run telemetry registry (rebuilt at the top of :meth:`run`).
         self._registry = None
-        self._profiles: Optional[List] = None
+        #: Per-seed profiles of both detector stages, in sweep order
+        #: (rebuilt at the top of :meth:`run`).
+        self._profiles: List = []
         #: Per-run fuse engine (rebuilt at the top of :meth:`run`), shared
         #: by both detector stages so compiled superinstructions amortize
         #: over the whole run.
@@ -323,7 +326,7 @@ class OwlPipeline:
         from repro.runtime.telemetry import MetricsRegistry
 
         self._registry = MetricsRegistry()
-        self._profiles = [] if self.profile and self.replay is None else None
+        self._profiles = []
         from repro.runtime.fuse import FuseEngine
 
         self._fuse_engine = FuseEngine()
@@ -537,13 +540,12 @@ class OwlPipeline:
         return run_detector(
             self.spec, annotations=annotations, jobs=jobs, executor=executor,
             tracer=result.spans, cache=self.cache, policy=self.policy,
-            explore=self.explore, replay=self.replay,
-            profile_out=self._profiles, profile_interval=self.profile,
+            explore=self.explore, replay=self.replay, profile=self.profile,
             feed=self.feed, fuse=self._fuse_engine,
         )
 
     def _observe_seed_stats(self, stats) -> None:
-        """Per-seed step/report histograms (deterministic: seed order)."""
+        """Per-seed step/report histograms and profiles (seed order)."""
         from repro.runtime.telemetry import REPORT_BUCKETS, STEP_BUCKETS
 
         steps = self._registry.histogram("vm.steps_per_seed", STEP_BUCKETS)
@@ -552,6 +554,8 @@ class OwlPipeline:
         for stat in stats:
             steps.observe(stat.steps)
             reports.observe(stat.reports)
+            if stat.profile is not None:
+                self._profiles.append(stat.profile)
 
     def _record_explore(self, result: PipelineResult, stage, span,
                         primary: bool = False) -> None:

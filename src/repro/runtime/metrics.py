@@ -178,19 +178,27 @@ class RunStats:
     The parallel batch engine cannot ship :class:`ExecutionResult` objects
     across process boundaries (they reference interpreter state and IR
     instructions); workers return these instead.
+
+    A detector sweep asked for them also hangs the seed's
+    :class:`repro.runtime.coverage.SeedCoverage` (``coverage``) and
+    :class:`repro.runtime.profiler.SeedProfile` (``profile``) here; both
+    are None otherwise, and :meth:`as_dict` leaves them out.
     """
 
     __slots__ = ("seed", "reason", "steps", "accesses", "reports",
-                 "wall_seconds")
+                 "wall_seconds", "coverage", "profile")
 
     def __init__(self, seed: int, reason: str, steps: int, accesses: int = 0,
-                 reports: int = 0, wall_seconds: float = 0.0):
+                 reports: int = 0, wall_seconds: float = 0.0,
+                 coverage=None, profile=None):
         self.seed = seed
         self.reason = reason
         self.steps = steps
         self.accesses = accesses
         self.reports = reports
         self.wall_seconds = wall_seconds
+        self.coverage = coverage
+        self.profile = profile
 
     def as_dict(self) -> Dict:
         return {

@@ -1,4 +1,4 @@
-"""End-to-end telemetry determinism: snapshots, profiles, history records.
+"""End-to-end telemetry determinism: snapshots and profiles.
 
 The telemetry block carries the same parity contract as
 ``StageCounters.parity_dict()``: its bytes depend only on what was
@@ -72,24 +72,20 @@ class TestProfiledPipeline:
                                jobs=2).run()
         assert serial.profile.to_payload() == parallel.profile.to_payload()
 
+    def test_warm_predict_run_keeps_the_cold_profile(self, tmp_path):
+        from repro.detectors.predict import PredictPolicy
+        from repro.owl.cache import ResultCache
+
+        def run():
+            return OwlPipeline(spec_by_name("memcached"), profile=97,
+                               predict=PredictPolicy(),
+                               cache=ResultCache(str(tmp_path))).run()
+
+        cold = run()
+        warm = run()
+        assert warm.telemetry["counters"]["cache.predict.hits"] == 1
+        assert warm.profile.to_payload() == cold.profile.to_payload()
+
     def test_unprofiled_run_has_no_profile_block(self, serial_result):
         assert serial_result.profile is None
         assert "profile" not in serial_result.telemetry
-
-
-class TestHistoryRecords:
-    def test_record_parity_modulo_wall_time(self, serial_result):
-        from repro.owl.history import record_from_metrics
-
-        parallel = OwlPipeline(spec_by_name("memcached"), jobs=2).run()
-        serial_record = record_from_metrics(
-            serial_result.metrics.as_dict(), timestamp=0.0, git_rev="test")
-        parallel_record = record_from_metrics(
-            parallel.metrics.as_dict(), timestamp=0.0, git_rev="test")
-        for record in (serial_record, parallel_record):
-            for key in ("total_seconds", "steps_per_second", "stage_wall",
-                        "jobs"):
-                record.pop(key)
-        assert serial_record == parallel_record
-        assert serial_record["counters"]["pipeline.raw_reports"] == \
-            serial_result.counters.raw_reports

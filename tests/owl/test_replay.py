@@ -9,7 +9,6 @@ absorbed.
 import os
 
 from repro.apps.registry import spec_by_name
-from repro.owl.cache import ResultCache
 from repro.owl.integration import run_detector
 from repro.owl.pipeline import OwlPipeline
 from repro.owl.replay import (
@@ -131,124 +130,6 @@ class TestPipelineReplay:
     def test_no_replay_block_without_replay(self):
         result = OwlPipeline(spec_by_name("libsafe")).run()
         assert "replay" not in result.metrics.as_dict()
-
-
-class TestRecordModeCaching:
-    def test_record_mode_returns_logs_and_warms_both_stages(self, tmp_path):
-        from repro.owl.batch import run_seeds_parallel
-
-        spec = spec_by_name("libsafe")
-        cache = ResultCache(str(tmp_path / "cache"))
-        logs = []
-        reports, stats = run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(4), max_steps=spec.max_steps, jobs=1,
-            cache=cache, logs_out=logs,
-        )
-        assert [log.seed for log in logs] == [0, 1, 2, 3]
-        assert cache.stage_counters("detect")["stores"] == 4
-        assert cache.stage_counters("record")["stores"] == 4
-
-        # a warm re-run answers every seed from the cache, logs included
-        cache2 = ResultCache(str(tmp_path / "cache"))
-        logs2 = []
-        reports2, _ = run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(4), max_steps=spec.max_steps, jobs=1,
-            cache=cache2, logs_out=logs2,
-        )
-        assert cache2.stage_counters("detect")["misses"] == 0
-        assert cache2.stage_counters("record")["misses"] == 0
-        assert [log.to_payload() for log in logs2] == \
-            [log.to_payload() for log in logs]
-        assert _fingerprints(reports2) == _fingerprints(reports)
-
-    def test_missing_log_entry_forces_live_rerun(self, tmp_path):
-        """Warm detect entry + cold record entry must still yield a log."""
-        from repro.owl.batch import run_seeds_parallel
-
-        spec = spec_by_name("libsafe")
-        root = str(tmp_path / "cache")
-        cache = ResultCache(root)
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=cache, logs_out=[],
-        )
-        # drop the record stage entirely; detect entries stay warm
-        import shutil
-        shutil.rmtree(os.path.join(root, "record"))
-        cache2 = ResultCache(root)
-        logs = []
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=cache2, logs_out=logs,
-        )
-        assert [log.seed for log in logs] == [0, 1]
-        assert cache2.stage_counters("record")["stores"] == 2
-
-    def test_detect_entries_identical_with_and_without_record(self, tmp_path):
-        """Recording must not perturb the detect stage's cache content."""
-        from repro.owl.batch import run_seeds_parallel
-
-        spec = spec_by_name("libsafe")
-        plain_root = str(tmp_path / "plain")
-        record_root = str(tmp_path / "record")
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(plain_root),
-        )
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(record_root), logs_out=[],
-        )
-
-        def entries(root, stage):
-            import json
-
-            found = {}
-            stage_dir = os.path.join(root, stage)
-            for directory, _, names in os.walk(stage_dir):
-                for name in names:
-                    with open(os.path.join(directory, name)) as handle:
-                        envelope = json.load(handle)
-                    envelope["value"]["stats"][-1] = 0.0  # wall seconds
-                    found[name] = envelope
-            return found
-
-        assert entries(plain_root, "detect") == entries(record_root, "detect")
-
-    def test_log_entries_smaller_than_detect_entries(self, tmp_path):
-        from repro.owl.batch import run_seeds_parallel
-
-        spec = spec_by_name("memcached")
-        root = str(tmp_path / "cache")
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(root), logs_out=[],
-        )
-
-        def sizes(stage):
-            stage_dir = os.path.join(root, stage)
-            return sorted(
-                os.path.getsize(os.path.join(directory, name))
-                for directory, _, names in os.walk(stage_dir)
-                for name in names)
-
-        record_sizes, detect_sizes = sizes("record"), sizes("detect")
-        assert len(record_sizes) == len(detect_sizes) == 2
-        assert max(record_sizes) < min(detect_sizes)
 
 
 class TestReplayCli:

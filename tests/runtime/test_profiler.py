@@ -3,7 +3,11 @@
 import pytest
 
 from repro.apps.registry import spec_by_name
+from repro.detectors.predict import PredictPolicy
 from repro.detectors.tsan import run_seed, run_seeds
+from repro.owl.cache import ResultCache
+from repro.owl.explore import ExplorePolicy
+from repro.owl.integration import run_detector
 from repro.runtime.profiler import (
     DEFAULT_SAMPLE_INTERVAL,
     SamplingProfiler,
@@ -117,11 +121,63 @@ class TestSamplingProfiler:
         assert len(profiles) >= 1  # all deterministic, possibly identical
 
     def test_default_interval_is_used_when_unspecified(self):
+        from argparse import Namespace
+
+        from repro.cli import _make_pipeline
+
         spec = spec_by_name("memcached")
-        out = []
+        # `--profile` without `--profile-interval`
+        pipeline, _, _ = _make_pipeline(spec, Namespace(jobs=1, profile=True))
         _, stats = run_seeds(
             "tsan", spec.build(), [0], entry=spec.entry,
             inputs=spec.workload_inputs, max_steps=spec.max_steps,
-            profile_out=out)
-        assert out[0].interval == DEFAULT_SAMPLE_INTERVAL
-        assert out[0].samples == stats[0].steps // DEFAULT_SAMPLE_INTERVAL
+            profile=pipeline.profile)
+        profile = stats[0].profile
+        assert profile.interval == DEFAULT_SAMPLE_INTERVAL
+        assert profile.samples == stats[0].steps // DEFAULT_SAMPLE_INTERVAL
+
+
+class TestSweepRouteParity:
+    @pytest.mark.parametrize("program", ["memcached", "linux_proc"])
+    def test_per_seed_profiles_and_coverage_identical_on_every_route(
+            self, program, tmp_path):
+        """Each seed's RunStats carries the serial sweep's coverage/profile."""
+        spec = spec_by_name(program)
+        seeds = len(spec.detect_seeds)
+
+        def sweep(**route):
+            _, stats = run_detector(spec, coverage=True, profile=97, **route)
+            return [(stat.seed, stat.coverage.to_payload(),
+                     stat.profile.to_payload()) for stat in stats]
+
+        def fixed_sweep(predict=None):
+            # never saturating, never escalating: the fixed seed sweep
+            return ExplorePolicy(max_seeds=seeds, saturation_k=seeds,
+                                 escalate=False, predict=predict)
+
+        plain_root = str(tmp_path / "plain")
+        predict_root = str(tmp_path / "predict")
+        routes = {
+            "jobs=2": lambda: sweep(jobs=2),
+            "cold cache": lambda: sweep(cache=ResultCache(plain_root)),
+            "warm cache": lambda: sweep(cache=ResultCache(plain_root)),
+            "explore": lambda: sweep(explore=fixed_sweep()),
+            "predict": lambda: sweep(explore=fixed_sweep(PredictPolicy())),
+            "predict, cold cache": lambda: sweep(
+                explore=fixed_sweep(PredictPolicy()),
+                cache=ResultCache(predict_root)),
+            "predict, warm cache": lambda: sweep(
+                explore=fixed_sweep(PredictPolicy()),
+                cache=ResultCache(predict_root)),
+        }
+        serial = sweep()
+        assert [seed for seed, _, _ in serial] == list(range(seeds))
+        for route, run in routes.items():
+            assert run() == serial, (program, route)
+
+    def test_unrequested_coverage_and_profile_stay_off(self):
+        spec = spec_by_name("memcached")
+        for route in ({}, {"jobs": 2}, {"explore": ExplorePolicy(max_seeds=4)}):
+            _, stats = run_detector(spec, **route)
+            assert all(stat.coverage is None and stat.profile is None
+                       for stat in stats), route

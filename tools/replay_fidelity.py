@@ -11,10 +11,6 @@ VM).  Any divergence, unfaithful replay, or fingerprint mismatch fails
 the run: a log replayed on the same IR digest is bit-identical or loudly
 divergent, never silently wrong.
 
-It also validates the size claim behind caching logs: every per-seed
-``record``-stage cache entry must be smaller than the corresponding
-``detect``-stage payload it allows us to regenerate.
-
 Usage::
 
     PYTHONPATH=src python tools/replay_fidelity.py            # all apps, 10 seeds
@@ -36,8 +32,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.apps.registry import all_specs, spec_by_name
-from repro.owl.batch import _detect_payload, _item_key, run_seeds_parallel
-from repro.owl.cache import ResultCache
 from repro.owl.replay import _spec_world, record_program
 from repro.runtime.diffcheck import compare_fingerprints
 from repro.runtime.metrics import PipelineMetrics, RunStats
@@ -62,9 +56,6 @@ def parse_args(argv):
         "--metrics-out", default=None, metavar="DIR",
         help="write metrics_replay_<program>.json (schema 5, with the "
              "replay block) under DIR")
-    parser.add_argument(
-        "--skip-size-check", action="store_true",
-        help="skip the record-vs-detect cache entry size comparison")
     return parser.parse_args(argv)
 
 
@@ -104,34 +95,6 @@ def check_fidelity(spec, seeds, record_dir):
         if divergence is not None:
             mismatches.append(divergence)
     return source, mismatches, time.perf_counter() - replay_started
-
-
-def check_entry_sizes(spec, seeds, cache_root):
-    """Per-seed (record entry bytes, detect entry bytes) via the cache.
-
-    Runs the seed sweep once through :func:`run_seeds_parallel` in record
-    mode, warming both cache stages, then measures each pair of entries.
-    """
-    cache = ResultCache(cache_root)
-    module = spec.build()
-    logs = []
-    run_seeds_parallel(
-        spec.detector, module, spec.module_factory, entry=spec.entry,
-        inputs=spec.workload_inputs, seeds=seeds, max_steps=spec.max_steps,
-        jobs=1, cache=cache, logs_out=logs,
-    )
-    pairs = []
-    for seed in seeds:
-        payload = _detect_payload(
-            spec.detector, spec.module_factory, seed, spec.entry,
-            spec.workload_inputs, None, spec.max_steps, 3, ())
-        detect_path = cache._path(
-            "detect", _item_key(cache, module, payload))
-        record_path = cache._path(
-            "record", _item_key(cache, module, payload, stage="record"))
-        pairs.append((os.path.getsize(record_path),
-                      os.path.getsize(detect_path)))
-    return pairs, len(logs)
 
 
 def save_metrics(spec, source, replay_seconds, out_dir):
@@ -184,24 +147,6 @@ def main(argv=None):
                 print("  " + divergence.describe().replace("\n", "\n  "))
             if bad:
                 failures += 1
-            if not args.skip_size_check:
-                cache_root = os.path.join(record_dir, spec.name, "cache")
-                pairs, log_count = check_entry_sizes(spec, seeds, cache_root)
-                oversized = [(index, log_bytes, detect_bytes)
-                             for index, (log_bytes, detect_bytes)
-                             in enumerate(pairs)
-                             if log_bytes >= detect_bytes]
-                print("  cache entries: record %d-%dB vs detect %d-%dB "
-                      "per seed (%d logs)" % (
-                          min(size for size, _ in pairs),
-                          max(size for size, _ in pairs),
-                          min(size for _, size in pairs),
-                          max(size for _, size in pairs), log_count))
-                for index, log_bytes, detect_bytes in oversized:
-                    print("  seed %d: record entry %dB >= detect entry %dB"
-                          % (seeds[index], log_bytes, detect_bytes))
-                if oversized or log_count != len(seeds):
-                    failures += 1
             if args.metrics_out:
                 path = save_metrics(
                     spec, source, replay_seconds, args.metrics_out)
