@@ -145,9 +145,10 @@ class TSanDetector(TraceObserver):
         # watch (below) must not immediately sanitize it, and the racy read
         # that constitutes a report is not also a "subsequent" read.
         self._service_watches(event, record)
+        variable = event.variable
         for offset in range(event.size):
             self._check_byte(event.address + offset, record, clock, own_clock,
-                             event.variable)
+                             variable)
         if annotated_release:
             # Publish this thread's clock on the flag address (TSan markup).
             self.on_sync(SyncEvent(
@@ -261,11 +262,12 @@ def make_scheduler(family: str, seed: int, depth: int = 3) -> Scheduler:
 class SeedRun:
     """What one detector execution produced (see :func:`run_seed`).
 
-    ``coverage``, ``log`` and ``profile`` are None unless requested.
+    ``coverage``, ``log``, ``profile`` and ``tape`` are None unless
+    requested.
     """
 
     __slots__ = ("seed", "reports", "result", "accesses", "wall_seconds",
-                 "coverage", "log", "profile")
+                 "coverage", "log", "profile", "tape")
 
     def __init__(self, seed: int, reports: ReportSet, result: ExecutionResult,
                  accesses: int, wall_seconds: float):
@@ -277,13 +279,14 @@ class SeedRun:
         self.coverage = None
         self.log = None
         self.profile = None
+        self.tape = None
 
     def stats(self) -> RunStats:
         return RunStats(
             seed=self.seed, reason=self.result.reason,
             steps=self.result.steps, accesses=self.accesses,
             reports=len(self.reports), wall_seconds=self.wall_seconds,
-            coverage=self.coverage, profile=self.profile,
+            coverage=self.coverage, profile=self.profile, tape=self.tape,
         )
 
 
@@ -303,6 +306,7 @@ def run_seed(
     record: bool = False,
     profile: Optional[int] = None,
     fuse=None,
+    tape: bool = False,
 ) -> SeedRun:
     """One program execution under one schedule, into a fresh report set.
 
@@ -321,7 +325,11 @@ def run_seed(
     :class:`repro.runtime.profiler.SeedProfile` sampled every ``profile``
     scheduler decisions.  Each is a pure-delegation scheduler wrapper,
     installed only when asked for, so the schedule and the reports never
-    change.  ``fuse`` (a :class:`repro.runtime.fuse.FuseEngine`, shared
+    change.  ``tape`` records the detector's events on a sealed
+    :class:`repro.runtime.tape.EventTape` (:func:`replay_tapes` feeds it
+    to another detector later); a reference-mode VM records none, since
+    the tape is a hot-path shortcut the reference configuration forgoes.
+    ``fuse`` (a :class:`repro.runtime.fuse.FuseEngine`, shared
     across a sweep to amortize compiles) is attached when the schedule can
     grant no-preempt windows (PCT without a wrapper); detectors observe
     bit-identical events either way.
@@ -351,6 +359,12 @@ def run_seed(
     vm.add_observer(detector)
     if recorder is not None:
         vm.add_observer(recorder)
+    events = None
+    if tape and not vm.reference:
+        from repro.runtime.tape import EventTape
+
+        events = EventTape()
+        vm.add_observer(events)
     with maybe_span(tracer, "detect_seed", seed=seed,
                     detector=detector_cls.name) as span:
         vm.start(entry, entry_args)
@@ -371,6 +385,8 @@ def run_seed(
         )
     if profiler is not None:
         run.profile = profiler.data
+    if events is not None:
+        run.tape = events.seal()
     return run
 
 
@@ -390,6 +406,7 @@ def run_seeds(
     profile: Optional[int] = None,
     feed=None,
     fuse=None,
+    tape: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """The serial sweep: :func:`run_seed` per seed, merged in seed order.
 
@@ -398,7 +415,8 @@ def run_seeds(
     as the pooled :func:`repro.owl.batch.run_seeds_parallel`.
     ``coverage`` and ``profile`` (a sampling stride) are passed to every
     :func:`run_seed`, and each seed's coverage/profile rides on its
-    ``RunStats``; ``feed`` (an :class:`repro.owl.stream.EventFeed`)
+    ``RunStats``, and so does each seed's event tape when ``tape`` asks
+    for one; ``feed`` (an :class:`repro.owl.stream.EventFeed`)
     receives one ``seed_done`` event per seed.  Every seed shares one
     :class:`repro.runtime.fuse.FuseEngine` (``fuse``, or a fresh one):
     the seeds run the same module, so compiled superinstructions
@@ -416,6 +434,7 @@ def run_seeds(
             annotations=annotations, max_steps=max_steps,
             scheduler=scheduler, depth=depth, entry_args=entry_args,
             tracer=tracer, coverage=coverage, profile=profile, fuse=fuse,
+            tape=tape,
         )
         reports.merge(run.reports)
         stats.append(run.stats())
@@ -424,6 +443,52 @@ def run_seeds(
                            steps=run.result.steps, reports=len(run.reports),
                            cached=False)
     return reports, stats
+
+
+def replay_tapes(
+    kind: str,
+    module: Module,
+    stats: Sequence[RunStats],
+    annotations: Optional[AnnotationSet] = None,
+    tracer=None,
+    feed=None,
+) -> Tuple[ReportSet, List[RunStats]]:
+    """A detector sweep over recorded seeds, without executing the program.
+
+    Replays each seed's event tape (``stats[i].tape``, recorded by
+    :func:`run_seed`) into a fresh ``kind`` detector honouring
+    ``annotations`` and merges the reports in seed order — the reports a
+    live sweep of the same seeds would produce, since annotations change
+    what the detector reports, never the schedule.  Each returned
+    ``RunStats`` keeps its seed's outcome and access count with 0 VM
+    steps; ``tracer`` gets one ``detect_seed`` span (``replayed=True``)
+    and ``feed`` one ``seed_done`` event per seed, as a live sweep emits.
+    """
+    from repro.runtime.spans import maybe_span
+
+    detector_cls, _ = front_end(kind)
+    reports = ReportSet()
+    replayed: List[RunStats] = []
+    for stat in stats:
+        started = time.perf_counter()
+        detector = detector_cls(annotations=annotations, reports=ReportSet())
+        with maybe_span(tracer, "detect_seed", seed=stat.seed,
+                        detector=detector_cls.name, replayed=True) as span:
+            stat.tape.replay(detector, module)
+            if span is not None:
+                span.attrs.update(steps=0, reason=stat.reason,
+                                  reports=len(detector.reports))
+        reports.merge(detector.reports)
+        replayed.append(RunStats(
+            seed=stat.seed, reason=stat.reason, steps=0,
+            accesses=detector.access_count, reports=len(detector.reports),
+            wall_seconds=time.perf_counter() - started,
+        ))
+        if feed is not None:
+            feed.seed_done(stage="detect", seed=stat.seed, detector=kind,
+                           steps=0, reports=len(detector.reports),
+                           cached=False)
+    return reports, replayed
 
 
 def run_tsan(

@@ -390,9 +390,12 @@ def _cacheable(output: Dict) -> Dict:
     Spans are observations of one particular execution (timings, worker
     ids), not results — replaying them from a warm cache would be lying
     about where time went, so they are stripped; cache hits get a single
-    ``cached=True`` marker span instead.
+    ``cached=True`` marker span instead.  A detector seed's event tape is
+    stripped too: it is bulky, and a sweep whose seeds lack tapes simply
+    re-runs its annotated pass.
     """
-    return {key: value for key, value in output.items() if key != "spans"}
+    return {key: value for key, value in output.items()
+            if key not in ("spans", "tape")}
 
 
 def run_cached_tasks(
@@ -455,7 +458,8 @@ def _detect_worker(payload: Dict) -> Dict:
     the exploration driver budgets on; collecting it never perturbs the
     schedule.  ``payload["scheduler"]`` optionally overrides the front
     end's schedule family at ``payload["depth"]`` (the explore driver's
-    escalation).
+    escalation); ``payload["tape"]`` asks for the seed's sealed
+    :class:`repro.runtime.tape.EventTape`.
     """
     module = _resolve_module(payload["source"])
     tracer = SpanTracer()
@@ -466,6 +470,7 @@ def _detect_worker(payload: Dict) -> Dict:
         max_steps=payload["max_steps"], scheduler=payload["scheduler"],
         depth=payload["depth"], entry_args=payload["entry_args"],
         tracer=tracer, coverage=True, profile=payload.get("profile"),
+        tape=payload.get("tape", False),
     )
     output = {
         "seed": run.seed,
@@ -477,6 +482,8 @@ def _detect_worker(payload: Dict) -> Dict:
     }
     if run.profile is not None:
         output["profile"] = run.profile.to_payload()
+    if run.tape is not None:
+        output["tape"] = run.tape
     return output
 
 
@@ -484,7 +491,8 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
                     annotations_payload, max_steps: int, depth: int,
                     entry_args: Sequence[int],
                     scheduler: Optional[str] = None,
-                    profile: Optional[int] = None) -> Dict:
+                    profile: Optional[int] = None,
+                    tape: bool = False) -> Dict:
     payload = {
         "kind": kind,
         "source": source,
@@ -502,16 +510,19 @@ def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
         # carries the sample aggregate, so it must not be answered from
         # (or overwrite) an unprofiled seed's entry.
         payload["profile"] = int(profile)
+    if tape:
+        payload["tape"] = True
     return payload
 
 
 def _item_key(cache, module: Module, payload: Dict) -> str:
     """Cache key of one seed's ``detect`` entry.
 
-    Every payload field but the module source keys it (the module digest
-    already keys the build).
+    Every payload field but the module source (the module digest already
+    keys the build) and the tape request (tapes are never cached) keys it.
     """
-    parts = {key: value for key, value in payload.items() if key != "source"}
+    parts = {key: value for key, value in payload.items()
+             if key not in ("source", "tape")}
     return cache.key("detect", module=module, **parts)
 
 
@@ -535,6 +546,7 @@ def run_seeds_parallel(
     coverage: bool = False,
     profile: Optional[int] = None,
     feed=None,
+    tape: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Fan one program's seeds out over worker processes.
 
@@ -565,14 +577,15 @@ def run_seeds_parallel(
     profiled runs return the same samples the cold run took.  ``feed``,
     when given an :class:`repro.owl.stream.EventFeed`, receives one
     ``seed_done`` event per seed at merge time — in seed order, with the
-    cache disposition.
+    cache disposition.  ``tape`` has every executed seed return its event
+    tape on its ``RunStats``; cache hits have none.
     """
     seeds = list(seeds)
     annotations_payload = annotations_to_payload(annotations)
     payloads = [
         _detect_payload(kind, module_source, seed, entry, inputs,
                         annotations_payload, max_steps, depth, entry_args,
-                        scheduler=scheduler, profile=profile)
+                        scheduler=scheduler, profile=profile, tape=tape)
         for seed in seeds
     ]
     keys = (
@@ -596,6 +609,7 @@ def run_seeds_parallel(
             from repro.runtime.profiler import SeedProfile
 
             stat.profile = SeedProfile.from_payload(output["profile"])
+        stat.tape = output.get("tape")
         stats.append(stat)
         if feed is not None:
             feed.seed_done(stage="detect", seed=seed, detector=kind,
@@ -623,6 +637,7 @@ def run_detector_batch(
     coverage: bool = False,
     profile: Optional[int] = None,
     feed=None,
+    tape: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """The spec's front-end detector over its seeds, via the worker path.
 
@@ -636,7 +651,7 @@ def run_detector_batch(
         inputs=spec.workload_inputs, seeds=spec.detect_seeds,
         annotations=annotations, max_steps=spec.max_steps, jobs=jobs,
         executor=executor, tracer=tracer, cache=cache, policy=policy,
-        coverage=coverage, profile=profile, feed=feed,
+        coverage=coverage, profile=profile, feed=feed, tape=tape,
     )
 
 
@@ -666,6 +681,7 @@ def _race_verify_worker(payload: Dict) -> Dict:
         "verified": verification.verified,
         "runs_used": verification.runs_used,
         "livelocks_resolved": verification.livelocks_resolved,
+        "steps": verification.steps,
         "spans": tracer.export_payload(),
         "hints": None if hints is None else {
             "variable": hints.variable,
@@ -745,6 +761,7 @@ def verify_races_batch(
         outcomes.append(RaceVerification(
             report, output["verified"], hints, output["runs_used"],
             output["livelocks_resolved"],
+            0 if output.get("cached") else output["steps"],
         ))
         if feed is not None:
             feed.item_done(stage="race_verification", index=index,
@@ -797,6 +814,7 @@ def _vuln_verify_worker(payload: Dict) -> Dict:
         "diverged": [branch.uid or 0 for branch in verification.diverged_branches],
         "faults": [kind.value for kind in verification.fault_kinds],
         "runs_used": verification.runs_used,
+        "steps": verification.steps,
         "spans": tracer.export_payload(),
     }
 
@@ -866,6 +884,7 @@ def verify_vulns_batch(
             [module.instruction_by_uid(uid) for uid in output["diverged"]],
             [FaultKind(value) for value in output["faults"]],
             output["runs_used"],
+            0 if output.get("cached") else output["steps"],
         )
         outcomes.append((verification, ground_truth))
         if feed is not None:

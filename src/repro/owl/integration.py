@@ -38,6 +38,7 @@ def run_detector(
     profile: Optional[int] = None,
     feed=None,
     fuse=None,
+    tape: bool = False,
 ) -> Tuple[ReportSet, List[RunStats]]:
     """Run the spec's front-end detector over its configured schedules.
 
@@ -67,7 +68,10 @@ def run_detector(
     the cold run took; replay fills neither.  ``feed`` (an
     :class:`repro.owl.stream.EventFeed`) receives one ``seed_done`` event
     per live seed.  ``fuse`` (a :class:`repro.runtime.fuse.FuseEngine`)
-    is the engine the serial sweep shares across its seeds.
+    is the engine the serial sweep shares across its seeds.  ``tape``
+    hangs every executed seed's event tape on its ``RunStats`` (serial and
+    pooled sweeps; replay, exploration, cache hits and reference-mode VMs
+    record none) for :func:`repro.detectors.tsan.replay_tapes`.
     """
     if replay is not None:
         return replay.run_detector(annotations=annotations, tracer=tracer)
@@ -84,13 +88,13 @@ def run_detector(
         return run_detector_batch(
             spec, annotations=annotations, jobs=jobs, executor=executor,
             tracer=tracer, cache=cache, policy=policy,
-            coverage=coverage, profile=profile, feed=feed,
+            coverage=coverage, profile=profile, feed=feed, tape=tape,
         )
     return run_seeds(
         spec.detector, spec.build(), spec.detect_seeds, entry=spec.entry,
         inputs=spec.workload_inputs, annotations=annotations,
         max_steps=spec.max_steps, tracer=tracer, coverage=coverage,
-        profile=profile, feed=feed, fuse=fuse,
+        profile=profile, feed=feed, fuse=fuse, tape=tape,
     )
 
 

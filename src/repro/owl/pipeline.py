@@ -5,7 +5,8 @@ Stages, with the counters that reproduce Tables 2 and 3:
 1. **detect** — the front-end race detector over the testing workload
    (R.R., "Race Reports").
 2. **schedule reduction** — static adhoc-sync detection over the reports,
-   annotation, and a detector re-run (A.S., "Adhoc Synchronizations").
+   annotation, and a detector re-run (A.S., "Adhoc Synchronizations"),
+   replayed from the detect sweep's event tapes when it recorded them.
 3. **race verification** — thread-specific-breakpoint verification of each
    remaining report; unverifiable reports are eliminated (R.V.E.), the rest
    remain (R.).
@@ -24,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
 from repro.detectors.report import RaceReport, ReportSet
+from repro.detectors.tsan import replay_tapes
 from repro.owl.adhoc import AdhocSyncDetector
 from repro.owl.batch import (
     can_parallelize,
@@ -209,6 +211,14 @@ class OwlPipeline:
     lands in the schema-5 metrics JSON (``"replay"`` block); replay is
     mutually exclusive with ``explore``.
 
+    The annotated re-run itself executes nothing when it can avoid it: the
+    detect sweep records each seed's detector events on an event tape
+    (:mod:`repro.runtime.tape`), serially and in pooled workers, and when
+    every seed has one, schedule reduction replays the tapes into an
+    annotation-aware detector (its stage reports 0 VM steps).  Runs with a
+    cache, exploration, replay, or in reference mode record no tapes and
+    run the sweep again.
+
     A ``predict`` policy (:class:`repro.detectors.predict.PredictPolicy`)
     turns the exploration loop's wave 0 into a predict wave: seed 0 runs
     once with the schedule recorder attached and the sync-preserving
@@ -301,6 +311,9 @@ class OwlPipeline:
         #: by both detector stages so compiled superinstructions amortize
         #: over the whole run.
         self._fuse_engine = None
+        #: The detect stage's per-seed ``RunStats`` when every seed carries
+        #: an event tape; the annotated re-run replays them, then drops them.
+        self._taped: Optional[List] = None
 
     # ------------------------------------------------------------------
 
@@ -330,6 +343,7 @@ class OwlPipeline:
         from repro.runtime.fuse import FuseEngine
 
         self._fuse_engine = FuseEngine()
+        self._taped = None
         if self.feed is not None:
             self.feed.run_begin(
                 self.spec.name, jobs,
@@ -508,7 +522,13 @@ class OwlPipeline:
         with result.metrics.stage("detect", unit="reports") as stage, \
                 result.spans.span("stage:detect") as span:
             marks = self._cache_marks()
-            reports, stats = self._run_detector(result, jobs, executor)
+            # Tapes let the annotated re-run skip the VM.  With a cache the
+            # re-run's seeds are cache entries of their own, which a warm
+            # run answers from disk, so the sweep records no tapes there.
+            reports, stats = self._run_detector(
+                result, jobs, executor, tape=self.cache is None)
+            if stats and all(stat.tape is not None for stat in stats):
+                self._taped = stats
             stage.absorb_run_stats(stats)
             self._observe_seed_stats(stats)
             stage.items = len(reports)
@@ -535,13 +555,14 @@ class OwlPipeline:
                     report, "predict", "predicted", **predicted)
 
     def _run_detector(self, result: PipelineResult, jobs: int, executor,
-                      annotations: Optional[AnnotationSet] = None):
+                      annotations: Optional[AnnotationSet] = None,
+                      tape: bool = False):
         """One detector sweep with this pipeline's options."""
         return run_detector(
             self.spec, annotations=annotations, jobs=jobs, executor=executor,
             tracer=result.spans, cache=self.cache, policy=self.policy,
             explore=self.explore, replay=self.replay, profile=self.profile,
-            feed=self.feed, fuse=self._fuse_engine,
+            feed=self.feed, fuse=self._fuse_engine, tape=tape,
         )
 
     def _observe_seed_stats(self, stats) -> None:
@@ -596,10 +617,19 @@ class OwlPipeline:
             annotations = self._classify_adhoc(result)
             result.annotations = annotations
             result.counters.adhoc_syncs = annotations.unique_static_count()
-            if len(annotations):
-                # Under replay: same logs, annotation-aware detector —
-                # annotations only change what the observer reports,
-                # never the schedule.
+            if len(annotations) and self._taped is not None:
+                # Annotations only change what the observer reports, never
+                # the schedule: replay the detect sweep's events into an
+                # annotation-aware detector instead of executing again.
+                reports, stats = replay_tapes(
+                    self.spec.detector, self.spec.build(), self._taped,
+                    annotations=annotations, tracer=result.spans,
+                    feed=self.feed)
+                stage.absorb_run_stats(stats)
+                self._observe_seed_stats(stats)
+            elif len(annotations):
+                # Without tapes (cache, exploration, replay of recorded
+                # logs, reference mode): the same sweep again, annotated.
                 reports, stats = self._run_detector(
                     result, jobs, executor, annotations=annotations)
                 stage.absorb_run_stats(stats)
@@ -607,6 +637,7 @@ class OwlPipeline:
                 self._record_explore(result, stage, span)
             else:
                 reports = result.raw_reports
+            self._taped = None
             stage.items = len(reports)
             stage.extra["adhoc_syncs"] = annotations.unique_static_count()
             self._record_cache_delta(stage, marks)
@@ -697,6 +728,7 @@ class OwlPipeline:
             )
             stage.items = len(result.verifications)
             stage.runs = sum(v.runs_used for v in result.verifications)
+            stage.vm_steps = sum(v.steps for v in result.verifications)
             self._record_cache_delta(stage, marks)
             span.attrs.update(
                 reports=len(result.verifications), runs=stage.runs,
@@ -864,6 +896,9 @@ class OwlPipeline:
             stage.items = len(pairs)
             stage.runs = sum(
                 verification.runs_used for verification, _ in pairs
+            )
+            stage.vm_steps = sum(
+                verification.steps for verification, _ in pairs
             )
             self._record_cache_delta(stage, marks)
             span.attrs.update(

@@ -65,16 +65,21 @@ class SecurityHints:
 
 
 class RaceVerification:
-    """Outcome of verifying one race report."""
+    """Outcome of verifying one race report.
+
+    ``steps`` is the VM steps its attempts executed (0 when the outcome
+    came from the result cache).
+    """
 
     def __init__(self, report: RaceReport, verified: bool,
                  hints: Optional[SecurityHints] = None, runs_used: int = 0,
-                 livelocks_resolved: int = 0):
+                 livelocks_resolved: int = 0, steps: int = 0):
         self.report = report
         self.verified = verified
         self.hints = hints
         self.runs_used = runs_used
         self.livelocks_resolved = livelocks_resolved
+        self.steps = steps
 
     def __repr__(self) -> str:
         return "<RaceVerification %s runs=%d>" % (
@@ -121,7 +126,7 @@ class DynamicRaceVerifier:
         return verification
 
     def _verify(self, report: RaceReport) -> RaceVerification:
-        livelocks = 0
+        livelocks = steps = 0
         for attempt, seed in enumerate(self.seeds, start=1):
             vm = self._make_vm(seed)
             debugger = Debugger(vm)
@@ -133,11 +138,14 @@ class DynamicRaceVerifier:
                 hints = self._drive(vm, debugger, report)
                 if span is not None:
                     span.attrs["caught"] = isinstance(hints, SecurityHints)
+            steps += vm.step
             if isinstance(hints, SecurityHints):
                 report.tags[self.TAG] = hints
-                return RaceVerification(report, True, hints, attempt, livelocks)
+                return RaceVerification(report, True, hints, attempt,
+                                        livelocks, steps)
             livelocks += hints  # int: livelocks resolved this run
-        return RaceVerification(report, False, None, len(self.seeds), livelocks)
+        return RaceVerification(report, False, None, len(self.seeds),
+                                livelocks, steps)
 
     def verify_all(self, reports) -> List[RaceVerification]:
         return [self.verify(report) for report in reports]

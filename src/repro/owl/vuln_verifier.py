@@ -39,7 +39,11 @@ _FAULTS_FOR_SITE = {
 
 
 class VulnVerification:
-    """Outcome of verifying one vulnerability report."""
+    """Outcome of verifying one vulnerability report.
+
+    ``steps`` is the VM steps its attempts executed (0 when the outcome
+    came from the result cache).
+    """
 
     def __init__(
         self,
@@ -49,6 +53,7 @@ class VulnVerification:
         diverged_branches: Sequence[Br] = (),
         fault_kinds: Sequence[FaultKind] = (),
         runs_used: int = 0,
+        steps: int = 0,
     ):
         self.vulnerability = vulnerability
         self.site_reached = site_reached
@@ -56,6 +61,7 @@ class VulnVerification:
         self.diverged_branches = list(diverged_branches)
         self.fault_kinds = list(fault_kinds)
         self.runs_used = runs_used
+        self.steps = steps
 
     def describe(self) -> str:
         if self.attack_realized:
@@ -117,6 +123,7 @@ class DynamicVulnerabilityVerifier:
 
     def _verify(self, vulnerability: VulnerabilityReport) -> VulnVerification:
         best: Optional[VulnVerification] = None
+        steps = 0
         for attempt, seed in enumerate(self.seeds, start=1):
             with maybe_span(self.tracer, "vuln_attempt",
                             seed=seed, attempt=attempt) as span:
@@ -124,13 +131,17 @@ class DynamicVulnerabilityVerifier:
                 if span is not None:
                     span.attrs.update(site_reached=outcome.site_reached,
                                       attack_realized=outcome.attack_realized)
+            steps += outcome.steps
             if outcome.attack_realized:
+                outcome.steps = steps
                 return outcome
             if best is None or (outcome.site_reached and not best.site_reached):
                 best = outcome
-        return best if best is not None else VulnVerification(
-            vulnerability, False, False, runs_used=len(self.seeds),
-        )
+        if best is None:
+            best = VulnVerification(vulnerability, False, False,
+                                    runs_used=len(self.seeds))
+        best.steps = steps
+        return best
 
     # ------------------------------------------------------------------
 
@@ -185,6 +196,7 @@ class DynamicVulnerabilityVerifier:
         faults = sorted({f.kind for f in vm.faults}, key=lambda k: k.value)
         return VulnVerification(
             vulnerability, site_reached, realized, diverged, faults, attempt,
+            vm.step,
         )
 
     def _make_vm(self, seed: int) -> VM:

@@ -15,7 +15,11 @@ in everything the rest of OWL can observe:
 - the fault list (including :attr:`Memory.recorded_faults`),
 - the execution result (reason, step count, exit code),
 - the race-report sets a detector derives from the trace,
-- the pipeline's Table-3 counters (``StageCounters.parity_dict()``), and
+- the pipeline's Table-3 counters (``StageCounters.parity_dict()``),
+- the pipeline's annotated report set in full — both racing records and
+  every subsequent read — which the optimized leg derives by replaying
+  the detect sweep's event tapes and the reference leg by executing the
+  program again (:mod:`repro.runtime.tape`), and
 - the per-report outcomes of both debugger-driven verification stages.
 
 The report-set and counter checks run the spec's own detector sweep, so on
@@ -46,15 +50,11 @@ from repro.runtime.events import (
 )
 from repro.runtime.interpreter import VM, reference_execution
 from repro.runtime.scheduler import RandomScheduler
+from repro.runtime.tape import FullEventTape
 
 
-class TraceRecorder(TraceObserver):
-    """Normalizes every trace event into a comparable tuple.
-
-    The tuples carry only plain values (ints, strings, nested tuples), so
-    two recorders can be compared field by field regardless of which VM,
-    module instance or memory produced them.
-    """
+class _Normalizer(TraceObserver):
+    """Turns replayed trace events into comparable tuples."""
 
     def __init__(self):
         self.records: List[Tuple] = []
@@ -92,6 +92,21 @@ class TraceRecorder(TraceObserver):
             "external", event.thread_id, event.step, event.name,
             event.arguments, event.call_stack,
         ))
+
+
+class TraceRecorder(FullEventTape):
+    """Records every trace event on a tape; :attr:`records` decodes it.
+
+    The records are normalized tuples carrying only plain values (ints,
+    strings, nested tuples), so two recorders can be compared field by
+    field regardless of which VM, module instance or memory produced them.
+    """
+
+    @property
+    def records(self) -> List[Tuple]:
+        normalizer = _Normalizer()
+        self.replay(normalizer)
+        return normalizer.records
 
 
 def _normalize_fault(fault) -> Tuple:
@@ -252,6 +267,9 @@ class ProgramDiff:
         #: verification_outcomes() per mode (diff_counters)
         self.reference_verifications: Optional[Dict] = None
         self.optimized_verifications: Optional[Dict] = None
+        #: report_fingerprints() of the annotated reports (diff_counters)
+        self.reference_annotated: Optional[List[Tuple]] = None
+        self.optimized_annotated: Optional[List[Tuple]] = None
 
     @property
     def identical(self) -> bool:
@@ -260,6 +278,7 @@ class ProgramDiff:
             and self.reference_report_keys == self.optimized_report_keys
             and self.reference_counters == self.optimized_counters
             and self.reference_verifications == self.optimized_verifications
+            and self.reference_annotated == self.optimized_annotated
         )
 
     @property
@@ -296,6 +315,8 @@ class ProgramDiff:
                 self.reference_counters == self.optimized_counters,
             "verifications_identical":
                 self.reference_verifications == self.optimized_verifications,
+            "annotated_reports_identical":
+                self.reference_annotated == self.optimized_annotated,
         }
 
     def __repr__(self) -> str:
@@ -346,6 +367,20 @@ def diff_reports(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
     return diff
 
 
+def report_fingerprints(reports) -> List[Tuple]:
+    """A report set in full, comparable form: per report (static-key
+    order) its key, variable, detector, both racing records and every
+    subsequent read the watch list captured."""
+    from repro.owl.batch import access_to_payload
+
+    return sorted(
+        (report.static_key, report.variable, report.detector,
+         access_to_payload(report.first), access_to_payload(report.second),
+         tuple(access_to_payload(read) for read in report.subsequent_reads))
+        for report in reports
+    )
+
+
 def verification_outcomes(result) -> Dict[str, List[Tuple]]:
     """Per-report verdicts of a pipeline run's two verification stages.
 
@@ -375,8 +410,9 @@ def verification_outcomes(result) -> Dict[str, List[Tuple]]:
 
 
 def diff_counters(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
-    """Compare ``StageCounters.parity_dict()`` and the verification
-    outcomes (:func:`verification_outcomes`) of a full pipeline run."""
+    """Compare ``StageCounters.parity_dict()``, the annotated report set
+    (:func:`report_fingerprints`) and the verification outcomes
+    (:func:`verification_outcomes`) of a full pipeline run."""
     from repro.owl.pipeline import OwlPipeline
 
     if diff is None:
@@ -391,6 +427,15 @@ def diff_counters(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
             spec.name, None, "stage_counters", None,
             diff.reference_counters, diff.optimized_counters,
         ))
+    diff.reference_annotated = report_fingerprints(
+        reference_result.annotated_reports)
+    diff.optimized_annotated = report_fingerprints(
+        optimized_result.annotated_reports)
+    divergence = _first_list_divergence(
+        spec.name, None, "annotated_reports", diff.reference_annotated,
+        diff.optimized_annotated)
+    if divergence is not None:
+        diff.divergences.append(divergence)
     diff.reference_verifications = verification_outcomes(reference_result)
     diff.optimized_verifications = verification_outcomes(optimized_result)
     for stage in ("race", "vulnerability"):

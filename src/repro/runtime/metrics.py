@@ -21,17 +21,17 @@ Schema of the exported JSON (one file per program run)::
           "wall_seconds": 8.1,
           "items": 715,             # stage-specific unit, see "unit"
           "unit": "reports",
-          "runs": 12,               # VM executions performed
-          "vm_steps": 2400000,      # interpreter steps across those runs
+          "runs": 12,               # executions (or replayed seeds) observed
+          "vm_steps": 2400000,      # interpreter steps the stage executed
           "accesses": 310000,       # shared accesses the detector shadowed
           "steps_per_second": 296296.3,
           "items_per_second": 88.3,
-          "cache_hits": 12,         # cache-enabled runs only (schema 2)
+          "cache_hits": 12,         # cache-enabled runs only
           "cache_misses": 0
         },
         ...
       ],
-      # schema 2, present when the run used a ResultCache / BatchPolicy:
+      # present when the run used a ResultCache / BatchPolicy:
       "cache": {
         "root": "benchmarks/out/cache",
         "code_version": "2f7a...",  # digest of the repro package source
@@ -47,8 +47,8 @@ Schema of the exported JSON (one file per program run)::
         "worker_failures": 0,       # exceptions / dead worker processes
         "serial_fallbacks": 0       # items re-run in-process after retries
       },
-      # schema 4, present when the run came from the differential-execution
-      # oracle (tools/diff_oracle.py; see repro.runtime.diffcheck):
+      # present when the run came from the differential-execution oracle
+      # (tools/diff_oracle.py; see repro.runtime.diffcheck):
       "diff_oracle": {
         "seeds": 10,                # seeds swept per program
         "divergences": 0,           # first-divergence records (0 = identical)
@@ -57,10 +57,11 @@ Schema of the exported JSON (one file per program run)::
         "speedup": 2.167,           # optimized / reference steps/s
         "report_sets_identical": true,
         "counters_identical": true,
+        "annotated_reports_identical": true,  # records + subsequent reads
         "verifications_identical": true  # race + vuln verdicts, per report
       },
-      # schema 3, present when the run used coverage-guided exploration
-      # (the detect stage's saturation curve; see repro.owl.explore):
+      # present when the run used coverage-guided exploration (the detect
+      # stage's saturation curve; see repro.owl.explore):
       "explore": {
         "detector": "tsan",
         "policy": {"max_seeds": 20, "wave_size": 4, "saturation_k": 2,
@@ -78,8 +79,8 @@ Schema of the exported JSON (one file per program run)::
           ...
         ]
       },
-      # schema 5, present when the detector stages replayed recorded
-      # schedule logs instead of executing live (repro.owl.replay):
+      # present when the detector stages replayed recorded schedule logs
+      # instead of executing live (repro.owl.replay):
       "replay": {
         "logs": 20,                 # recorded logs in the sweep
         "decisions": 61234,         # schedule decisions across those logs
@@ -90,7 +91,7 @@ Schema of the exported JSON (one file per program run)::
         "thread_divergences": 0,
         "unfaithful_replays": 0
       },
-      # schema 7, present when exploration ran a predict wave
+      # present when exploration ran a predict wave
       # (repro.detectors.predict): the wave-0 closure/witness counters
       # and the per-pair evidence status:
       "predict": {
@@ -106,18 +107,18 @@ Schema of the exported JSON (one file per program run)::
                      "witnessed": 1, "unwitnessed": 0, ...},
         "pairs": [[[411, 873], "observed"], ...]
       },
-      # schema 8, only when the run fused hot blocks into
-      # superinstructions (repro.runtime.fuse): jobs=1 sweeps under a
-      # PCT schedule (the SKI kernel), without cache, exploration or
-      # replay.  Observational, like steps/s:
+      # only when the run fused hot blocks into superinstructions
+      # (repro.runtime.fuse): jobs=1 sweeps under a PCT schedule (the SKI
+      # kernel), without cache, exploration or replay.  Observational,
+      # like steps/s:
       "fuse": {
         "compiled_blocks": 305, "fused_runs": 13793,
         "fused_steps": 183937, "fused_step_share": 0.6551,
         "bailouts": 0, "invalidations": 0
       },
-      # schema 6, always present on pipeline runs: the deterministic
-      # telemetry snapshot (repro.runtime.telemetry) plus the optional
-      # profiler summary (repro.runtime.profiler):
+      # always present on pipeline runs: the deterministic telemetry
+      # snapshot (repro.runtime.telemetry) plus the optional profiler
+      # summary (repro.runtime.profiler):
       "telemetry": {
         "counters": {"cache.detect.hits": 30, "vm.steps": 123456, ...},
         "gauges": {"spans.records": 412, ...},
@@ -131,18 +132,9 @@ Schema of the exported JSON (one file per program run)::
       }
     }
 
-Schema 8 files are identical minus the ``repair`` block
-(:meth:`repro.owl.repair.RepairResult.metrics_block` of an ``owl fix``
-run); schema 7 files additionally lack the ``fuse`` block (older schema-8
-files may carry an ``"enabled"`` key there and ``fused_*`` fields in the
-``diff_oracle`` block, which nothing reads); schema 6 files additionally
-lack the ``predict`` block; schema 5 files additionally lack the
-``telemetry`` block; schema 4 files further lack the ``replay`` block;
-schema 3 files further lack the ``diff_oracle`` block; schema 2 files
-further lack the ``explore`` block; schema 1 files lack the
-``cache``/``batch`` blocks and the per-stage
-``cache_hits``/``cache_misses`` extras as well.  The loader accepts all
-nine.
+An ``owl fix`` run adds a ``repair`` block
+(:meth:`repro.owl.repair.RepairResult.metrics_block`).  The loader reads
+schema 9 only.
 
 Counters (:class:`repro.owl.pipeline.StageCounters`) stay byte-identical
 between serial and parallel runs; metrics are *observations* and naturally
@@ -162,10 +154,8 @@ from typing import Dict, Iterable, List, Optional
 #: does not understand rather than silently mis-reading them.
 SCHEMA_VERSION = 9
 
-#: Versions :func:`load_metrics` can still read.  Schemas 1–8 are strict
-#: subsets of schema 9 (fewer optional blocks), so old files remain
-#: loadable.
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+#: Versions :func:`load_metrics` reads.
+SUPPORTED_SCHEMAS = (SCHEMA_VERSION,)
 
 
 class MetricsSchemaError(ValueError):
@@ -180,17 +170,19 @@ class RunStats:
     instructions); workers return these instead.
 
     A detector sweep asked for them also hangs the seed's
-    :class:`repro.runtime.coverage.SeedCoverage` (``coverage``) and
-    :class:`repro.runtime.profiler.SeedProfile` (``profile``) here; both
-    are None otherwise, and :meth:`as_dict` leaves them out.
+    :class:`repro.runtime.coverage.SeedCoverage` (``coverage``),
+    :class:`repro.runtime.profiler.SeedProfile` (``profile``) and sealed
+    :class:`repro.runtime.tape.EventTape` (``tape``) here; each is None
+    otherwise, and :meth:`as_dict` leaves them out.  ``steps`` counts the
+    VM steps executed: a seed replayed from a tape has 0.
     """
 
     __slots__ = ("seed", "reason", "steps", "accesses", "reports",
-                 "wall_seconds", "coverage", "profile")
+                 "wall_seconds", "coverage", "profile", "tape")
 
     def __init__(self, seed: int, reason: str, steps: int, accesses: int = 0,
                  reports: int = 0, wall_seconds: float = 0.0,
-                 coverage=None, profile=None):
+                 coverage=None, profile=None, tape=None):
         self.seed = seed
         self.reason = reason
         self.steps = steps
@@ -199,6 +191,7 @@ class RunStats:
         self.wall_seconds = wall_seconds
         self.coverage = coverage
         self.profile = profile
+        self.tape = tape
 
     def as_dict(self) -> Dict:
         return {
@@ -279,37 +272,37 @@ class PipelineMetrics:
         self.jobs = jobs
         self.stages: List[StageMetrics] = []
         self.total_seconds = 0.0
-        #: ``ResultCache.counters()`` of a cache-enabled run (schema 2).
+        #: ``ResultCache.counters()`` of a cache-enabled run.
         self.cache: Optional[Dict] = None
-        #: ``BatchPolicy.counters()`` of a fault-tolerant run (schema 2).
+        #: ``BatchPolicy.counters()`` of a fault-tolerant run.
         self.batch: Optional[Dict] = None
-        #: ``ExplorationResult.metrics_block()`` of a coverage-guided run
-        #: (schema 3): the detect stage's per-wave saturation curve.
+        #: ``ExplorationResult.metrics_block()`` of a coverage-guided run:
+        #: the detect stage's per-wave saturation curve.
         self.explore: Optional[Dict] = None
-        #: ``ProgramDiff.as_dict()`` of a differential-oracle run (schema 4):
+        #: ``ProgramDiff.as_dict()`` of a differential-oracle run:
         #: reference vs optimized steps/s and the divergence count.
         self.diff_oracle: Optional[Dict] = None
-        #: ``ReplaySource.metrics_block()`` of a replayed run (schema 5):
+        #: ``ReplaySource.metrics_block()`` of a replayed run:
         #: log/decision counts and every divergence counter.
         self.replay: Optional[Dict] = None
-        #: ``MetricsRegistry.snapshot()`` of the run (schema 6), with an
-        #: optional ``profile`` summary — deterministic content only, so
-        #: jobs=1 and jobs=N emit bit-identical blocks.
+        #: ``MetricsRegistry.snapshot()`` of the run, with an optional
+        #: ``profile`` summary — deterministic content only, so jobs=1 and
+        #: jobs=N emit bit-identical blocks.
         self.telemetry: Optional[Dict] = None
-        #: ``PredictionResult.metrics_block()`` of a predicting run
-        #: (schema 7): the wave-0 trace/closure/witness counters and the
-        #: per-pair evidence status — deterministic given the recorded
-        #: log, so jobs=1 and jobs=N emit bit-identical blocks.
+        #: ``PredictionResult.metrics_block()`` of a predicting run: the
+        #: wave-0 trace/closure/witness counters and the per-pair evidence
+        #: status — deterministic given the recorded log, so jobs=1 and
+        #: jobs=N emit bit-identical blocks.
         self.predict: Optional[Dict] = None
-        #: ``OwlPipeline._fuse_block()`` of a superinstruction-fused run
-        #: (schema 8): compiled blocks, fused-step share and bailouts of
-        #: the pipeline's engine, present only when a VM attached it.
+        #: ``OwlPipeline._fuse_block()`` of a superinstruction-fused run:
+        #: compiled blocks, fused-step share and bailouts of the
+        #: pipeline's engine, present only when a VM attached it.
         self.fuse: Optional[Dict] = None
-        #: ``RepairResult.metrics_block()`` of an ``owl fix`` run
-        #: (schema 9): per-target candidate/gate outcomes, emitted patch
-        #: digests and the ground-truth comparison — deterministic given
-        #: the spec (repair runs serially, targets in static-key order),
-        #: so jobs=1 and jobs=N emit bit-identical blocks.
+        #: ``RepairResult.metrics_block()`` of an ``owl fix`` run:
+        #: per-target candidate/gate outcomes, emitted patch digests and
+        #: the ground-truth comparison — deterministic given the spec
+        #: (repair runs serially, targets in static-key order), so jobs=1
+        #: and jobs=N emit bit-identical blocks.
         self.repair: Optional[Dict] = None
 
     # ------------------------------------------------------------------

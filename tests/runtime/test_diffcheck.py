@@ -273,6 +273,43 @@ class TestVerificationOracle:
         assert diff.as_dict()["counters_identical"] is True
 
 
+class TestAnnotatedReportOracle:
+    """diff_counters compares the annotated report sets in full — the
+    optimized leg replays event tapes, the reference leg re-executes."""
+
+    def test_fingerprints_compared_and_identical(self):
+        from repro.apps.registry import spec_by_name
+
+        diff = diff_counters(spec_by_name("libsafe"))
+        assert diff.optimized_annotated
+        assert diff.optimized_annotated == diff.reference_annotated
+        assert diff.as_dict()["annotated_reports_identical"] is True
+
+    def test_subsequent_read_mismatch_records_divergence(self, monkeypatch):
+        from repro.apps.registry import spec_by_name
+        from repro.runtime import diffcheck
+
+        original = diffcheck.report_fingerprints
+        calls = []
+
+        def tampered(reports):
+            fingerprints = original(reports)
+            calls.append(reports)
+            if len(calls) == 2:  # the optimized leg
+                entry = fingerprints[0]
+                fingerprints[0] = entry[:5] + (entry[5] + (("extra",),),)
+            return fingerprints
+
+        monkeypatch.setattr(diffcheck, "report_fingerprints", tampered)
+        diff = diff_counters(spec_by_name("libsafe"))
+        assert not diff.identical
+        divergence, = diff.divergences
+        assert divergence.field == "annotated_reports"
+        assert divergence.index == 0
+        assert diff.as_dict()["annotated_reports_identical"] is False
+        assert diff.as_dict()["counters_identical"] is True
+
+
 class TestReferenceMode:
     def test_context_manager_sets_vm_default(self):
         module = build_counter_race()

@@ -26,9 +26,31 @@ class TestMetricsSchema:
     def test_as_dict_declares_current_schema(self):
         assert PipelineMetrics("demo").as_dict()["schema"] == SCHEMA_VERSION
 
-    def test_current_schema_is_nine_and_supports_ancestors(self):
+    def test_current_schema_is_nine_and_only_nine(self):
         assert SCHEMA_VERSION == 9
-        assert SUPPORTED_SCHEMAS == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+        assert SUPPORTED_SCHEMAS == (9,)
+
+    def test_load_rejects_older_versions(self, tmp_path):
+        path = saved_metrics(tmp_path)
+        with open(path) as handle:
+            data = json.load(handle)
+        for version in range(1, SCHEMA_VERSION):
+            data["schema"] = version
+            with open(path, "w") as handle:
+                json.dump(data, handle)
+            with pytest.raises(MetricsSchemaError, match="unsupported"):
+                load_metrics(path)
+
+    def test_committed_metrics_files_load(self):
+        import glob
+        import os
+
+        out = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "benchmarks", "out")
+        paths = sorted(glob.glob(os.path.join(out, "metrics_*.json")))
+        assert paths
+        for path in paths:
+            assert load_metrics(path)["schema"] == SCHEMA_VERSION
 
     def test_loader_accepts_all_supported_versions(self, tmp_path):
         path = saved_metrics(tmp_path)

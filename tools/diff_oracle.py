@@ -6,7 +6,10 @@ hot-path optimization disabled (``reference``) and once as shipped — and
 asserts the two executions are observably identical: same trace-event
 stream (thread/step/address/size/value/call stack/variable), same fault
 lists, same race-report sets and, with ``--counters``, same
-``StageCounters.parity_dict()`` from a full pipeline run.  While doing so
+``StageCounters.parity_dict()``, annotated report sets (records and
+subsequent reads included; the optimized leg replays event tapes, the
+reference leg re-executes) and verification outcomes from a full pipeline
+run.  While doing so
 it measures reference vs optimized interpreter throughput and writes the
 comparison into the schema-4 ``diff_oracle`` metrics block.  On a PCT
 spec such as ``linux_proc`` the optimized leg of ``--counters`` (and of the
@@ -49,7 +52,8 @@ def parse_args(argv):
     parser.add_argument(
         "--counters", action="store_true",
         help="also run the full pipeline per mode and compare "
-             "StageCounters.parity_dict() (slower)")
+             "StageCounters.parity_dict(), the annotated report set and "
+             "the verification outcomes (slower)")
     parser.add_argument(
         "--metrics-out", default=None, metavar="DIR",
         help="write metrics_diffcheck_<program>.json (schema 4, with the "
